@@ -177,14 +177,6 @@ class CrawlConfig:
                                      # actors off the 0-CPU head node in the
                                      # multi-node bench so every shard RPC
                                      # genuinely crosses a node boundary
-    cache_corpus: bool = False       # pin decoded corpus buckets in the Ray
-                                     # object store (zero-copy Arrow, loaded
-                                     # lazily once per bucket): the wave
-                                     # fetch-join becomes an in-memory probe
-                                     # instead of a per-wave parquet decode.
-                                     # Sized for the CLUSTER object store —
-                                     # on one node enable only if the corpus
-                                     # fits (plasma spills otherwise).
 
     def delay_jitter(self, host: str, last_wave: int) -> float:
         """RANDOMIZE_DOWNLOAD_DELAY parity ([S:scrapy/core/downloader

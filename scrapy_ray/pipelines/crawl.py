@@ -6,10 +6,12 @@ Each wave:
 1. ``frontier.next_wave(w)`` — every shard emits its politeness-budgeted
    batch; driver k-way merges by (priority desc, seq asc). This merged order
    IS the crawl-ordering contract the goldens check [B:north_rule].
-2. ``fetch_parse_wave`` — partition-pruned broadcast join of the wave
-   against the Parquet pages corpus, with the fused parse AND items/links
-   splits running inside the per-bucket tasks (stages/fetch.py): the driver
-   receives only compact items/links tables, never html.
+2. ``fetch_parse_wave(plan, wave)`` — partition-pruned join of the wave
+   against the Parquet pages corpus, with the downloader middlewares, the
+   fused parse AND the items/links splits running inside the per-bucket
+   raw Ray tasks (stages/fetch.py). The crawl-constant ``FetchPlan`` is
+   built once per engine; the driver receives one ``FetchResult`` of
+   compact tables, never html.
 3. items: optional item-pipeline chain -> per-wave partitioned Parquet sink
    (resumable layout — one directory per wave).
 4. links: canonical (parent_seq, link_idx) sort -> optional link-middleware
@@ -43,7 +45,7 @@ from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 from scrapy_ray.sources.readers import (read_deltafetch_urls, read_robots,
                                         read_seeds)
 from scrapy_ray.stages.extract import classify_callback
-from scrapy_ray.stages.fetch import fetch_parse_wave
+from scrapy_ray.stages.fetch import FetchPlan, fetch_parse_wave
 from scrapy_ray.stages.links import filter_links, filter_params
 from scrapy_ray.state.errors import StaleShardError
 from scrapy_ray.state.frontier import ShardedFrontier
@@ -181,29 +183,16 @@ class CrawlEngine:
         self.item_pipelines = tuple(item_pipelines)
         self.link_middlewares = tuple(link_middlewares)
         self.metrics = metrics
-        if n_buckets is None:
-            with open(os.path.join(corpus_root, "meta.json")) as fh:
-                n_buckets = json.load(fh)["spec"]["n_buckets"]
-        self.n_buckets = int(n_buckets)
         self.ckpt = cfg.checkpoint_dir
-        if cfg.cache_corpus:
-            from scrapy_ray.sources.corpus import corpus_paths
-            from scrapy_ray.stages.fetch import BucketCache
-
-            self._bucket_cache = BucketCache(corpus_paths(corpus_root)["pages"])
-        else:
-            self._bucket_cache = None
+        # With no link middlewares the M7/M8/M9 filter runs in-task (per-row
+        # pure → identical surviving set), so the driver link chain and the
+        # task→driver payload shrink with the filter selectivity — the
+        # O(links) wide-wave serial term (BENCH/BASELINE.md run N). The plan
+        # also snapshots the user-extension registry (registry.py).
+        self.fetch_plan = FetchPlan.build(
+            corpus_root, cfg, n_buckets=n_buckets,
+            link_filter=None if self.link_middlewares else filter_params(cfg))
         robots = read_robots(corpus_root) if cfg.obey_robots else None
-        # Snapshot the user-extension registry (custom @page_handler stages +
-        # URL routes + CrawlSpider rules) and put it in the object store
-        # ONCE — worker processes never see driver-side registrations, so
-        # the fused per-bucket parse tasks read this snapshot (registry.py,
-        # SURVEY §2.10).
-        from scrapy_ray.registry import CRAWL_RULES, PAGE_HANDLERS, URL_ROUTES
-
-        self._registry_ref = (
-            ray.put((dict(PAGE_HANDLERS), list(URL_ROUTES), list(CRAWL_RULES)))
-            if (PAGE_HANDLERS or URL_ROUTES or CRAWL_RULES) else None)
         self.urlseen = ShardedUrlSeen(cfg.n_filter_shards, cfg.bloom_capacity,
                                       cfg.bloom_bits_per_key, exact=cfg.exact_urlseen,
                                       scheduling=cfg.actor_scheduling,
@@ -514,38 +503,19 @@ class CrawlEngine:
         # ONE distributed pass per wave: partition-pruned fetch-join + fused
         # parse + in-task items/links splits — neither html nor list columns
         # reach the driver (stages/fetch.py fetch_parse_wave, stages/parse.py).
-        # With no link middlewares the M7/M8/M9 filter also runs in-task
-        # (per-row pure → identical surviving set) so the driver link chain
-        # and the task→driver payload shrink with the filter selectivity —
-        # the O(links) wide-wave serial term (BENCH/BASELINE.md run N).
-        lf_pack = filter_params(cfg) if not self.link_middlewares else None
         _t0 = _time.perf_counter()
-        (items, links, n_fetched, hstats, retry_rows, redirect_rows,
-         (n_maxsize_drop, n_maxsize_warn, n_err), sess_updates) = fetch_parse_wave(
-            self.root, wave, self.n_buckets, cache=self._bucket_cache,
-            registry_ref=self._registry_ref, want_stats=cfg.autothrottle,
-            link_filter=lf_pack,
-            retry_cfg=((cfg.retry_codes, cfg.retry_max) if cfg.retry_max else None),
-            redirect_cfg=((cfg.redirect_codes, cfg.redirect_max)
-                          if cfg.redirect_max else None),
-            metarefresh_cfg=((cfg.metarefresh_maxdelay, cfg.redirect_max)
-                             if (cfg.metarefresh and cfg.redirect_max)
-                             else None),
-            maxsize_cfg=((cfg.download_maxsize, cfg.download_warnsize)
-                         if (cfg.download_maxsize or cfg.download_warnsize)
-                         else None),
-            allowed_statuses=cfg.handle_httpstatus_list,
-            want_sessions=cfg.cookies)
-        self.maxsize_dropped += n_maxsize_drop
-        self.maxsize_warned += n_maxsize_warn
-        self.error_count += n_err
+        fetched = fetch_parse_wave(self.fetch_plan, wave)
+        items, links, n_fetched = fetched.items, fetched.links, fetched.n_fetched
+        self.maxsize_dropped += fetched.n_maxsize_drop
+        self.maxsize_warned += fetched.n_maxsize_warn
+        self.error_count += fetched.n_err
         self._last_fetch_s = _time.perf_counter() - _t0
         self.phase_times["fetch_parse"] += self._last_fetch_s
 
-        if cfg.autothrottle and len(hstats):
+        if cfg.autothrottle and len(fetched.host_stats):
             # F4: one deterministic latency sample per host per wave =
             # mean body bytes / virtual bandwidth (config.py)
-            df = hstats.to_pandas().groupby("host").sum().reset_index()
+            df = fetched.host_stats.to_pandas().groupby("host").sum().reset_index()
             lat = (df["nbytes"] / df["n"] / cfg.at_bytes_per_sec).to_numpy()
             self.frontier.update_throttle(df["host"].tolist(), lat)
 
@@ -554,8 +524,8 @@ class CrawlEngine:
         # end-of-wave shard RPC below, routed to the owning shards there
         sess_hosts: list[str] = []
         sess_tokens: list[int] = []
-        if cfg.cookies and len(sess_updates):
-            sdf = sess_updates.to_pandas()
+        if cfg.cookies and len(fetched.sessions):
+            sdf = fetched.sessions.to_pandas()
             sdf = (sdf.sort_values(["host", "seq"], kind="mergesort")
                       .groupby("host", as_index=False).last())
             sess_hosts = sdf["host"].tolist()
@@ -576,15 +546,16 @@ class CrawlEngine:
 
                 links = apply_chain(self.link_middlewares, links)
                 links = filter_links(links, cfg)                 # M7/M8/M9
-            # else: the filter already ran inside the fetch tasks (lf_pack)
+            # else: the filter already ran inside the fetch tasks
+            # (FetchPlan.link_filter)
             self.phase_times["link_filter"] += _time.perf_counter() - _t0
         rd = None
-        if cfg.redirect_max and len(redirect_rows):
+        if cfg.redirect_max and len(fetched.redirects):
             # deterministic contract (config.py): redirect targets take seqs
             # AFTER this wave's fresh links and BEFORE its retries, ordered
             # by the ORIGINAL request seq; they pass the dupefilter like any
             # scheduled request but skip the spider-middleware filters
-            rd = redirect_rows.sort_by([("seq", "ascending")])
+            rd = fetched.redirects.sort_by([("seq", "ascending")])
             rd = rd.append_column("dont_filter",
                                   pa.array(np.zeros(len(rd), dtype=bool)))
 
@@ -633,8 +604,8 @@ class CrawlEngine:
             self.next_seq += len(rrows)
             new_rows.append(rrows)
             n_new += len(rrows)
-        if cfg.retry_max and len(retry_rows):
-            rr = retry_rows.sort_by([("seq", "ascending")])
+        if cfg.retry_max and len(fetched.retries):
+            rr = fetched.retries.sort_by([("seq", "ascending")])
             rrows = _retries_to_frontier(rr, self.next_seq, cfg.retry_priority_adjust)
             self.next_seq += len(rrows)
             new_rows.append(rrows)
@@ -679,8 +650,8 @@ class CrawlEngine:
 
             self.metrics.record_wave.remote(
                 {"pages_fetched": n_fetched, "items": len(items),
-                 "new_links": n_new, "maxsize_dropped": n_maxsize_drop,
-                 "maxsize_warned": n_maxsize_warn},
+                 "new_links": n_new, "maxsize_dropped": fetched.n_maxsize_drop,
+                 "maxsize_warned": fetched.n_maxsize_warn},
                 dict(Counter(wave["host"].to_pylist())),
                 {"wave_fetch_ms": [int(self._last_fetch_s * 1000)],
                  "wave_pages": [n_fetched]})

@@ -49,8 +49,9 @@ class FakeImageDecoder:
         BMP/PPM/PGM (functions/codecs.py), PNG (stdlib-zlib codec, exact)
         and JPEG — baseline AND progressive SOF2 (pure-numpy T.81 codec,
         functions/jpeg.py; round 4 closed the PIL gate, round 5 the
-        progressive one). Formats beyond these (webp, ...) still raise
-        ValueError from the sniff."""
+        progressive one) and lossless WebP (VP8L, functions/webp.py).
+        Lossy VP8 / extended VP8X WebP still raise ValueError, as does an
+        unknown magic."""
         from scrapy_ray.functions.codecs import decode_image
 
         return decode_image(payload)

@@ -1,9 +1,9 @@
-"""Stateless map_batches stages (SURVEY.md §2.2, §7.2): parse/extract, link
-emission + vectorized filters, and the fetch-join against the pages corpus."""
+"""Stateless map_batches stages (SURVEY.md §2.2, §7.2): parse/extract and
+link emission + vectorized filters. The wave fetch-join runs as raw Ray
+tasks; import it from ``scrapy_ray.stages.fetch``."""
 
 from scrapy_ray.stages.extract import extract_items_batch, extract_listing_cards_batch, classify_callback
 from scrapy_ray.stages.links import extract_links_batch, filter_links
-from scrapy_ray.stages.fetch import fetch_wave
 
 __all__ = [
     "extract_items_batch",
@@ -11,5 +11,4 @@ __all__ = [
     "classify_callback",
     "extract_links_batch",
     "filter_links",
-    "fetch_wave",
 ]

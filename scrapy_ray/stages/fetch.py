@@ -1,33 +1,41 @@
 """Fetch stage = partition-pruned join of a frontier wave against the pages
-corpus (SURVEY.md §2.1 S2, §2.4 J1).
+corpus (SURVEY.md §2.1 S2, §2.4 J1), fused with the parse and the
+items/links splits.
 
 The reference downloads over HTTP ([S:scrapy/core/downloader/handlers/
 http11.py]); per the north rule, pages come from a Parquet corpus bucketed by
-``url_hash % n_buckets``, so a wave only scans the bucket files its URLs can
-live in. The wave side is small relative to the corpus -> broadcast it via
-``ray.put`` once and hash-probe inside each ``map_batches`` task (the
-broadcast-small-side join; no shuffle of the corpus).
+``url_hash % n_buckets``, so a wave only reads the bucket files its URLs can
+live in. The per-wave join is a repeated *small indexed lookup*, so it runs
+as raw Ray tasks, one or more per needed bucket: the documented exception
+that drops below Ray Data (SURVEY §7.4.3), because per-wave ``read_parquet``
+Dataset construction costs seconds of fragment sampling where a task costs
+~ms. Whole-corpus scans stay on Ray Data (``sources.readers.read_pages``,
+``stages/features.py``).
+
+Everything fixed for a crawl (corpus layout, middleware settings, registry
+snapshot, cluster size) is one ``FetchPlan``, put in the object store once;
+each task returns one ``FetchResult``. Neither html nor per-page list
+columns ever reach the driver.
 
 At 100 TB the same shape holds: buckets are directories of row-grouped
-Parquet, the wave's bucket set prunes the read, and the probe table is an
-object-store broadcast. Nothing here materializes the corpus.
+Parquet and the wave's bucket set prunes the read. Nothing here
+materializes the corpus.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import os
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
-from scrapy_ray.sources.readers import read_pages
-
-# frontier columns carried through onto fetched pages (J3 denormalization)
-CARRY = ["depth", "priority", "seq", "callback"]
-
+from scrapy_ray import schemas
 
 HOST_STATS_SCHEMA = pa.schema([("host", pa.string()), ("n", pa.int64()),
                                ("nbytes", pa.int64())])
@@ -67,8 +75,6 @@ def _retry_rows(t: pa.Table, retry_codes: tuple, retry_max: int) -> pa.Table:
     """Fetched rows whose status is retryable and attempt budget remains ->
     RETRY_ROWS ([S:scrapy/downloadermiddlewares/retry.py]). Runs in-task on
     the joined (page x wave) table."""
-    from scrapy_ray import schemas
-
     m = pc.and_(pc.is_in(t["status"], value_set=pa.array(list(retry_codes),
                                                          type=t["status"].type)),
                 pc.less(t["retries"], retry_max))
@@ -83,7 +89,6 @@ def _redirect_rows(t: pa.Table, redirect_codes: tuple, redirect_max: int) -> pa.
     canonicalize + hash happen here in-task, so the driver receives
     ready-to-dedup frontier candidates. Runs on the joined (page x wave)
     table; a corpus without a location column never redirects."""
-    from scrapy_ray import schemas
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 
@@ -122,7 +127,6 @@ def _meta_refresh_split(t: pa.Table, maxdelay: float,
     from the parse stream (Scrapy replaces the response before the spider
     sees it). Negative path is one vectorized substring sniff over the
     binary html column, so corpora without refresh tags pay ~memchr."""
-    from scrapy_ray import schemas
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.htmlx import base_url, meta_refresh
     from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
@@ -206,8 +210,6 @@ def _host_stats(t: pa.Table) -> pa.Table:
 
 def _schema_names(path: str) -> list[str]:
     """Column names of a bucket path (file OR hive dir) via one footer read."""
-    import os
-
     import pyarrow.parquet as pq
 
     p = path
@@ -230,301 +232,187 @@ def _cap_arrow_threads() -> None:
         pa.set_io_thread_count(2)
 
 
-def _probe(batch: pa.Table, lookup_ref) -> pa.Table:
-    lookup = ray.get(lookup_ref) if isinstance(lookup_ref, ray.ObjectRef) else lookup_ref
-    mask = pc.is_in(batch["url"], value_set=pa.array(list(lookup.keys()), type=pa.string()))
-    hit = batch.filter(mask)
-    if len(hit) == 0:
-        return _empty_fetched(batch.schema)
-    rows = [lookup[u] for u in hit["url"].to_pylist()]
-    hit = hit.append_column("depth", pa.array([r[0] for r in rows], type=pa.int32()))
-    hit = hit.append_column("priority", pa.array([r[1] for r in rows], type=pa.int32()))
-    hit = hit.append_column("seq", pa.array([r[2] for r in rows], type=pa.int64()))
-    hit = hit.append_column("callback", pa.array([r[3] for r in rows], type=pa.string()))
-    return hit
+@dataclass(frozen=True)
+class FetchPlan:
+    """Everything a crawl's fetch tasks need that is fixed for the whole
+    crawl: the corpus is immutable input, the cluster size and the config
+    do not change. Built once per engine (``build``) and put in the object
+    store once (``ref``); every task of every wave reads that one object.
+    A middleware whose tuple is None does not run."""
+
+    paths: dict[int, str]            # bucket id -> bucket dir (corpus_paths)
+    n_buckets: int
+    cpus: int                        # cluster CPUs; sets the task chunk
+    registry: tuple                  # (PAGE_HANDLERS, URL_ROUTES, CRAWL_RULES)
+    want_stats: bool                 # AutoThrottle per-host stats (F4)
+    retry: tuple | None              # (retry_codes, retry_max)
+    redirect: tuple | None           # (redirect_codes, redirect_max)
+    metarefresh: tuple | None        # (maxdelay, redirect_max)
+    maxsize: tuple | None            # (download_maxsize, download_warnsize)
+    allowed_statuses: tuple          # handle_httpstatus_list
+    want_sessions: bool              # cookies analogue (F6)
+    link_filter: tuple | None        # in-task M7/M8/M9 pack (filter_params)
+
+    @classmethod
+    def build(cls, corpus_root: str, cfg, n_buckets: int | None = None,
+              link_filter: tuple | None = None) -> "FetchPlan":
+        """Resolve the plan for ``cfg`` over the corpus at ``corpus_root``
+        with one meta.json read. A middleware the corpus can never trigger
+        is switched off here: no location column means no 3xx redirect
+        (``has_redirects``; a meta.json without the key costs one bucket
+        footer read), and ``has_metarefresh: false`` means no refresh tags
+        (a corpus without the key keeps the ~memchr html sniff).
+
+        ``link_filter``: the engine passes a ``filter_params`` pack iff no
+        link middlewares are registered — those must see the unfiltered
+        stream."""
+        from scrapy_ray.registry import CRAWL_RULES, PAGE_HANDLERS, URL_ROUTES
+        from scrapy_ray.sources.corpus import corpus_paths
+
+        meta_path = os.path.join(corpus_root, "meta.json")
+        meta = {}
+        if os.path.exists(meta_path):
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+        paths = corpus_paths(corpus_root)["pages"]
+        has_redirects = meta.get("has_redirects")
+        if has_redirects is None:
+            has_redirects = any("location" in _schema_names(p)
+                                for p in list(paths.values())[:1])
+        has_metarefresh = bool(meta.get("has_metarefresh", True))
+        redirect_on = bool(cfg.redirect_max)
+        return cls(
+            paths=paths,
+            n_buckets=int(n_buckets if n_buckets is not None
+                          else meta["spec"]["n_buckets"]),
+            cpus=max(1, int(ray.cluster_resources().get("CPU", 8))),
+            # worker processes never see driver-side registrations, so the
+            # tasks read this snapshot (registry.py, SURVEY §2.10)
+            registry=(dict(PAGE_HANDLERS), list(URL_ROUTES), list(CRAWL_RULES)),
+            want_stats=cfg.autothrottle,
+            retry=((cfg.retry_codes, cfg.retry_max) if cfg.retry_max else None),
+            redirect=((cfg.redirect_codes, cfg.redirect_max)
+                      if redirect_on and has_redirects else None),
+            metarefresh=((cfg.metarefresh_maxdelay, cfg.redirect_max)
+                         if redirect_on and cfg.metarefresh and has_metarefresh
+                         else None),
+            maxsize=((cfg.download_maxsize, cfg.download_warnsize)
+                     if (cfg.download_maxsize or cfg.download_warnsize)
+                     else None),
+            allowed_statuses=tuple(cfg.handle_httpstatus_list),
+            want_sessions=cfg.cookies,
+            link_filter=link_filter)
+
+    @functools.cached_property
+    def ref(self) -> "ray.ObjectRef":
+        """This plan in the object store, put on first use. Ray dereferences
+        it when passed as a task argument, so tasks receive the plan."""
+        return ray.put(self)
 
 
-def _empty_fetched(page_schema: pa.Schema) -> pa.Table:
-    s = page_schema
-    for name, typ in zip(CARRY, (pa.int32(), pa.int32(), pa.int64(), pa.string())):
-        s = s.append(pa.field(name, typ))
-    return s.empty_table()
+class FetchResult(NamedTuple):
+    """One fetch task's output; ``fetch_parse_wave`` merges a wave's task
+    results, field by field, into one. items, links and n_fetched stay the
+    first three fields: tracers read them by position."""
+
+    items: pa.Table
+    links: pa.Table                  # unsorted across tasks
+    n_fetched: int
+    host_stats: pa.Table             # HOST_STATS_SCHEMA
+    retries: pa.Table                # RETRY_ROWS
+    redirects: pa.Table              # REDIRECT_ROWS (3xx + meta-refresh)
+    n_maxsize_drop: int
+    n_maxsize_warn: int
+    n_err: int                       # CLOSESPIDER_ERRORCOUNT input
+    sessions: pa.Table               # SESSION_SCHEMA
+
+    @classmethod
+    def empty(cls) -> "FetchResult":
+        return cls(schemas.ITEMS.empty_table(), schemas.LINKS.empty_table(), 0,
+                   HOST_STATS_SCHEMA.empty_table(),
+                   schemas.RETRY_ROWS.empty_table(),
+                   schemas.REDIRECT_ROWS.empty_table(), 0, 0, 0,
+                   SESSION_SCHEMA.empty_table())
+
+    @classmethod
+    def merge(cls, parts: list["FetchResult"]) -> "FetchResult":
+        """Counts sum; tables concatenate their non-empty parts."""
+        out = []
+        for i, empty in enumerate(cls.empty()):
+            col = [p[i] for p in parts]
+            if isinstance(empty, pa.Table):
+                tables = [t for t in col if len(t)]
+                out.append(pa.concat_tables(tables) if tables else empty)
+            else:
+                out.append(sum(col))
+        return cls(*out)
 
 
 @ray.remote
-def _fetch_parse_bucket(path: str, sub: pa.Table, registry_ref=None,
-                        want_stats: bool = False, retry_cfg=None,
-                        redirect_cfg=None, metarefresh_cfg=None,
-                        maxsize_cfg=None, allowed_statuses: tuple = (),
-                        want_sessions: bool = False,
-                        link_filter: tuple | None = None) -> tuple:
+def _fetch_parse(path: str, sub: pa.Table, plan: FetchPlan) -> FetchResult:
     """Read one corpus bucket with an ``url IN (...)`` parquet filter
     (row-group pruning — bucket files are written sorted by url and ``sub``
     is a url-sorted contiguous wave slice, so a chunk touches few row
     groups), join the frontier carry columns in-task (arrow hash join — the
-    driver ships a zero-copy wave slice, builds no per-url dicts), run the
-    fused parse AND the items/links splits in-task. Returns (items_table,
-    links_table, n_fetched) — neither html nor per-page list columns ever
-    reach the driver. ``registry_ref``: ray.put snapshot of (PAGE_HANDLERS,
-    URL_ROUTES, CRAWL_RULES) — driver-side registrations are invisible to
-    workers."""
+    driver ships a zero-copy wave slice, builds no per-url dicts), then run
+    the downloader-middleware splits, the fused parse AND the items/links
+    splits in-task. ``plan`` arrives dereferenced from ``FetchPlan.ref``."""
     import pyarrow.parquet as pq
 
-    from scrapy_ray import schemas
     from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
 
     _cap_arrow_threads()
-    # NB: Ray auto-dereferences ObjectRef args — the task receives the
-    # snapshot tuple itself.
-    handlers, routes, rules = (registry_ref if registry_ref is not None
-                                else ({}, [], []))
-    # driver-side support check (fetch_parse_wave) guarantees the column
-    # exists whenever redirect_cfg is set — no per-task footer sniffing
-    cols = ["url", "html", "status"] + (["location"] if redirect_cfg else [])
+    handlers, routes, rules = plan.registry
+    # the plan keeps redirect set only for a corpus with a location column
+    cols = ["url", "html", "status"] + (["location"] if plan.redirect else [])
     t = pq.read_table(path, filters=pc.field("url").isin(sub["url"]), columns=cols)
     nd = nw = 0
-    if maxsize_cfg is not None and len(t):
-        t, nd, nw = _maxsize_split(t, *maxsize_cfg)
+    if plan.maxsize is not None and len(t):
+        t, nd, nw = _maxsize_split(t, *plan.maxsize)
     if len(t) == 0:
-        return (schemas.ITEMS.empty_table(), schemas.LINKS.empty_table(), 0,
-                HOST_STATS_SCHEMA.empty_table(), schemas.RETRY_ROWS.empty_table(),
-                schemas.REDIRECT_ROWS.empty_table(), (nd, nw, 0),
-                SESSION_SCHEMA.empty_table())
-    stats = _host_stats(t) if want_stats else HOST_STATS_SCHEMA.empty_table()
+        return FetchResult.empty()._replace(n_maxsize_drop=nd, n_maxsize_warn=nw)
+    stats = _host_stats(t) if plan.want_stats else HOST_STATS_SCHEMA.empty_table()
     t = t.join(sub, keys="url", join_type="inner")
     n_fetched = len(t)    # BEFORE the meta-refresh split removes rows — a
                           # diverted interstitial is still a fetched page
                           # (simulator counts at the same point)
-    sess = (_session_updates(t) if want_sessions
+    sess = (_session_updates(t) if plan.want_sessions
             else SESSION_SCHEMA.empty_table())
-    retries = (_retry_rows(t, *retry_cfg) if retry_cfg is not None
+    retries = (_retry_rows(t, *plan.retry) if plan.retry is not None
                else schemas.RETRY_ROWS.empty_table())
-    redirects = (_redirect_rows(t, *redirect_cfg) if redirect_cfg is not None
+    redirects = (_redirect_rows(t, *plan.redirect) if plan.redirect is not None
                  else schemas.REDIRECT_ROWS.empty_table())
     n_diverted = len(retries) + len(redirects)
-    if metarefresh_cfg is not None:
-        mr, t = _meta_refresh_split(t, *metarefresh_cfg)
+    if plan.metarefresh is not None:
+        mr, t = _meta_refresh_split(t, *plan.metarefresh)
         if len(mr):
             redirects = pa.concat_tables([redirects, mr]) if len(redirects) else mr
     parsed = parse_page_batch(t, handlers=handlers, routes=routes,
-                              allowed_statuses=allowed_statuses, rules=rules)
+                              allowed_statuses=plan.allowed_statuses, rules=rules)
     # error responses = fetched, non-2xx, fell through every middleware
     # (CLOSESPIDER_ERRORCOUNT input; diverted redirect/retry rows excluded)
     n_err = len(parsed) - int(pc.sum(parsed["status_ok"]).as_py() or 0) \
         - n_diverted
     links = split_links(parsed, routes=routes, rules=rules)
-    if link_filter is not None and len(links):
-        # M7/M8/M9 in-task (engine passes the pack iff no link middlewares
-        # are registered — those must see the unfiltered stream): shrinks
-        # the O(links) driver chain AND the task->driver payload; per-row
-        # pure, so the surviving set is identical to the driver-side path
+    if plan.link_filter is not None and len(links):
+        # M7/M8/M9 in-task: shrinks the O(links) driver chain AND the
+        # task->driver payload; per-row pure, so the surviving set is
+        # identical to the driver-side path
         from scrapy_ray.stages.links import filter_links_p
 
-        links = filter_links_p(links, link_filter)
-    return (split_items(parsed), links,
-            n_fetched,
-            stats, retries, redirects, (nd, nw, n_err), sess)
+        links = filter_links_p(links, plan.link_filter)
+    return FetchResult(split_items(parsed), links, n_fetched, stats, retries,
+                       redirects, nd, nw, n_err, sess)
 
 
-@ray.remote
-def _load_bucket(path: str) -> pa.Table:
-    """Decode one bucket into the object store (once; immutable input)."""
-    import pyarrow.parquet as pq
-
-    cols = ["url", "html", "status"]
-    if "location" in _schema_names(path):
-        cols.append("location")
-    return pq.read_table(path, columns=cols)
-
-
-@ray.remote
-def _fetch_parse_cached(bucket: pa.Table, sub: pa.Table, registry_ref=None,
-                        want_stats: bool = False, retry_cfg=None,
-                        redirect_cfg=None, metarefresh_cfg=None,
-                        maxsize_cfg=None, allowed_statuses: tuple = (),
-                        want_sessions: bool = False,
-                        link_filter: tuple | None = None) -> tuple:
-    """In-memory probe variant of _fetch_parse_bucket: ``bucket`` arrives as
-    a zero-copy plasma reference; filter + join + parse + split in-task."""
-    from scrapy_ray import schemas
-    from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
-
-    _cap_arrow_threads()
-    # NB: Ray auto-dereferences ObjectRef args — the task receives the
-    # snapshot tuple itself.
-    handlers, routes, rules = (registry_ref if registry_ref is not None
-                                else ({}, [], []))
-    sub_urls = sub["url"].combine_chunks() if isinstance(sub["url"], pa.ChunkedArray) \
-        else sub["url"]
-    t = bucket.filter(pc.is_in(bucket["url"], value_set=sub_urls))
-    nd = nw = 0
-    if maxsize_cfg is not None and len(t):
-        t, nd, nw = _maxsize_split(t, *maxsize_cfg)
-    if len(t) == 0:
-        return (schemas.ITEMS.empty_table(), schemas.LINKS.empty_table(), 0,
-                HOST_STATS_SCHEMA.empty_table(), schemas.RETRY_ROWS.empty_table(),
-                schemas.REDIRECT_ROWS.empty_table(), (nd, nw, 0),
-                SESSION_SCHEMA.empty_table())
-    stats = _host_stats(t) if want_stats else HOST_STATS_SCHEMA.empty_table()
-    t = t.join(sub, keys="url", join_type="inner")
-    n_fetched = len(t)    # BEFORE the meta-refresh split removes rows — a
-                          # diverted interstitial is still a fetched page
-                          # (simulator counts at the same point)
-    sess = (_session_updates(t) if want_sessions
-            else SESSION_SCHEMA.empty_table())
-    retries = (_retry_rows(t, *retry_cfg) if retry_cfg is not None
-               else schemas.RETRY_ROWS.empty_table())
-    redirects = (_redirect_rows(t, *redirect_cfg) if redirect_cfg is not None
-                 else schemas.REDIRECT_ROWS.empty_table())
-    n_diverted = len(retries) + len(redirects)
-    if metarefresh_cfg is not None:
-        mr, t = _meta_refresh_split(t, *metarefresh_cfg)
-        if len(mr):
-            redirects = pa.concat_tables([redirects, mr]) if len(redirects) else mr
-    parsed = parse_page_batch(t, handlers=handlers, routes=routes,
-                              allowed_statuses=allowed_statuses, rules=rules)
-    # error responses = fetched, non-2xx, fell through every middleware
-    # (CLOSESPIDER_ERRORCOUNT input; diverted redirect/retry rows excluded)
-    n_err = len(parsed) - int(pc.sum(parsed["status_ok"]).as_py() or 0) \
-        - n_diverted
-    links = split_links(parsed, routes=routes, rules=rules)
-    if link_filter is not None and len(links):
-        # M7/M8/M9 in-task (engine passes the pack iff no link middlewares
-        # are registered — those must see the unfiltered stream): shrinks
-        # the O(links) driver chain AND the task->driver payload; per-row
-        # pure, so the surviving set is identical to the driver-side path
-        from scrapy_ray.stages.links import filter_links_p
-
-        links = filter_links_p(links, link_filter)
-    return (split_items(parsed), links,
-            n_fetched,
-            stats, retries, redirects, (nd, nw, n_err), sess)
-
-
-class BucketCache:
-    """Lazy per-bucket ObjectRef cache (engine-held; one decode per bucket
-    per run — the corpus is immutable input). ``paths`` is the
-    ``corpus_paths()["pages"]`` dict keyed by bucket id; a bucket with no
-    directory returns None (fetch miss)."""
-
-    def __init__(self, paths: dict[int, str]):
-        self.paths = dict(paths)
-        self.refs: dict[int, ray.ObjectRef] = {}
-
-    def get(self, b: int) -> "ray.ObjectRef | None":
-        if b not in self.paths:
-            return None
-        if b not in self.refs:
-            self.refs[b] = _load_bucket.remote(self.paths[b])
-        return self.refs[b]
-
-
-_REDIRECT_SUPPORT: dict[tuple, bool] = {}
-
-
-def _corpus_has_redirects(corpus_root: str, paths: dict) -> bool:
-    """ONE driver-side check per corpus per process: meta.json's
-    has_redirects when present (generator v4+ / ingest), else a single
-    bucket-footer sniff for the location column. Keeps per-task work free
-    of footer reads (measured ~0.4-1s per 6-wave crawl). Cache key
-    includes meta.json's mtime so a regenerated corpus at the same path
-    is re-checked."""
-    import json as _json
-    import os as _os
-
-    mp = _os.path.join(corpus_root, "meta.json")
-    try:
-        key = (corpus_root, _os.stat(mp).st_mtime_ns)
-    except OSError:
-        key = (corpus_root, 0)
-    got = _REDIRECT_SUPPORT.get(key)
-    if got is not None:
-        return got
-    ans = None
-    if _os.path.exists(mp):
-        try:
-            with open(mp) as fh:
-                ans = _json.load(fh).get("has_redirects")
-        except Exception:
-            ans = None
-    if ans is None:
-        ans = any("location" in _schema_names(p) for p in list(paths.values())[:1])
-    _REDIRECT_SUPPORT[key] = bool(ans)
-    return bool(ans)
-
-
-_METAREFRESH_SUPPORT: dict[tuple, bool] = {}
-
-
-def _corpus_has_metarefresh(corpus_root: str) -> bool:
-    """Same one-check-per-corpus pattern as _corpus_has_redirects, keyed on
-    meta.json's has_metarefresh. A corpus WITHOUT the key (pre-v5
-    generator, external ingest) conservatively returns True — the
-    vectorized html sniff then costs ~memchr per task."""
-    import json as _json
-    import os as _os
-
-    mp = _os.path.join(corpus_root, "meta.json")
-    try:
-        key = (corpus_root, _os.stat(mp).st_mtime_ns)
-    except OSError:
-        key = (corpus_root, 0)
-    got = _METAREFRESH_SUPPORT.get(key)
-    if got is not None:
-        return got
-    ans = True
-    if _os.path.exists(mp):
-        try:
-            with open(mp) as fh:
-                ans = bool(_json.load(fh).get("has_metarefresh", True))
-        except Exception:
-            ans = True
-    _METAREFRESH_SUPPORT[key] = ans
-    return ans
-
-
-_CPU_CACHE: int | None = None
-
-
-def _cluster_cpus() -> int:
-    """Total cluster CPUs, memoized per process (cluster size is fixed for
-    a crawl's lifetime; ray.cluster_resources() is a GCS round-trip)."""
-    global _CPU_CACHE
-    if _CPU_CACHE is None:
-        try:
-            _CPU_CACHE = max(1, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            _CPU_CACHE = 8
-    return _CPU_CACHE
-
-
-def fetch_parse_wave(corpus_root: str, wave: pa.Table, n_buckets: int,
-                     cache: "BucketCache | None" = None, registry_ref=None,
-                     want_stats: bool = False, retry_cfg=None,
-                     redirect_cfg=None, metarefresh_cfg=None,
-                     maxsize_cfg=None, allowed_statuses: tuple = (),
-                     want_sessions: bool = False,
-                     link_filter: tuple | None = None) -> tuple:
-    """Wave-loop fast path (SURVEY §7.4.3): the per-wave fetch-join is a
-    repeated *small indexed lookup*, for which per-wave ``read_parquet``
-    Dataset construction costs seconds (fragment sampling). Raw Ray tasks —
-    one per needed bucket — express it with ~ms overhead; this is the
-    documented drop-to-raw-Ray exception. Whole-corpus scans still use the
-    Dataset path (``fetch_wave`` / sources.readers).
-
-    Returns (items, links, n_fetched); links are unsorted across buckets —
-    the caller applies the canonical (parent_seq, link_idx) sort."""
-    from scrapy_ray import schemas
-    from scrapy_ray.sources.corpus import corpus_paths
-
-    paths = corpus_paths(corpus_root)["pages"]
-    if redirect_cfg is not None and not _corpus_has_redirects(corpus_root, paths):
-        redirect_cfg = None        # corpus can never redirect: free fast path
-    if metarefresh_cfg is not None and \
-            not _corpus_has_metarefresh(corpus_root):
-        metarefresh_cfg = None     # generator says no refresh tags exist
+def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
+    """Fetch, parse and split one wave (FRONTIER rows): one or more
+    ``_fetch_parse`` tasks per bucket the wave's URLs hash to. Misses
+    (dangling links, never-written buckets) produce no row — the
+    reference's 404 path. The caller applies the canonical
+    (parent_seq, link_idx) sort to the merged links."""
     hashes = wave["url_hash"].to_numpy(zero_copy_only=False)
-    bucket_of = (hashes % np.uint64(n_buckets)).astype(np.int64)
+    bucket_of = (hashes % np.uint64(plan.n_buckets)).astype(np.int64)
     # Fully columnar dispatch: sort the wave by (bucket, url) ONCE, then
     # ship zero-copy Arrow slices to the tasks — the driver builds no
     # per-url python structures. Sorting by url keeps each chunk a
@@ -540,7 +428,6 @@ def fetch_parse_wave(corpus_root: str, wave: pa.Table, n_buckets: int,
     bsorted = bucket_of[idx.to_numpy()]
     ubs, starts = np.unique(bsorted, return_index=True)
     bounds = np.append(starts, len(bsorted))
-    futs = []
     # Task granularity (re-tuned round 5): the round-2 fixed 256-row chunk
     # optimized straggler balance, but per-task overhead (dispatch, arg
     # serialization, result transfer — and cross-raylet hops on a real
@@ -548,15 +435,11 @@ def fetch_parse_wave(corpus_root: str, wave: pa.Table, n_buckets: int,
     # same-window, chunk 2048 beats 256 by 10-13% at EVERY level (flat
     # 2-CPU 9.06->8.01, flat 8-CPU 2.86->2.52, 4-node wide 12.7->11.2,
     # 1-node wide 36.1->28.3). Adaptive: ~2 task waves per CPU, clamped to
-    # [256, 4096] so tiny waves stay balanced and huge waves stay bounded;
-    # SCRAPY_RAY_WAVE_CHUNK overrides for tuning runs.
-    chunk_env = os.environ.get("SCRAPY_RAY_WAVE_CHUNK")
-    if chunk_env:
-        chunk = int(chunk_env)
-    else:
-        chunk = min(4096, max(256, len(wave) // (2 * _cluster_cpus())))
+    # [256, 4096] so tiny waves stay balanced and huge waves stay bounded.
+    chunk = min(4096, max(256, len(wave) // (2 * plan.cpus)))
+    pending = []
     for k, b in enumerate(ubs):
-        if int(b) not in paths:
+        if int(b) not in plan.paths:
             continue  # bucket never written (empty at ingest) -> fetch miss
         seg_len = int(bounds[k + 1] - bounds[k])
         n_parts = max(1, (seg_len + chunk - 1) // chunk)
@@ -564,79 +447,11 @@ def fetch_parse_wave(corpus_root: str, wave: pa.Table, n_buckets: int,
             lo = bounds[k] + j * seg_len // n_parts
             hi = bounds[k] + (j + 1) * seg_len // n_parts
             sub = sub_sorted.slice(int(lo), int(hi - lo))
-            if cache is not None:
-                futs.append(_fetch_parse_cached.remote(cache.get(int(b)), sub,
-                                                       registry_ref, want_stats,
-                                                       retry_cfg, redirect_cfg,
-                                                       metarefresh_cfg,
-                                                       maxsize_cfg,
-                                                       allowed_statuses,
-                                                       want_sessions,
-                                                       link_filter))
-            else:
-                futs.append(_fetch_parse_bucket.remote(paths[int(b)], sub,
-                                                       registry_ref, want_stats,
-                                                       retry_cfg, redirect_cfg,
-                                                       metarefresh_cfg,
-                                                       maxsize_cfg,
-                                                       allowed_statuses,
-                                                       want_sessions,
-                                                       link_filter))
-    items_p, links_p, stats_p, retry_p, redir_p, sess_p, n = [], [], [], [], [], [], 0
-    nd_sum = nw_sum = ne_sum = 0
-    # consume incrementally: driver-side deserialization + concat overlap
-    # with still-running tasks instead of waiting for the full barrier
-    pending = futs
+            pending.append(_fetch_parse.remote(plan.paths[int(b)], sub, plan.ref))
+    # consume incrementally: driver-side deserialization overlaps with
+    # still-running tasks instead of waiting for the full barrier
+    parts: list[FetchResult] = []
     while pending:
         done, pending = ray.wait(pending, num_returns=min(16, len(pending)))
-        for it, lk, nf, st, rr, rd, (nd, nw, ne), se in ray.get(done):
-            n += nf
-            nd_sum += nd
-            nw_sum += nw
-            ne_sum += ne
-            if len(it):
-                items_p.append(it)
-            if len(lk):
-                links_p.append(lk)
-            if len(st):
-                stats_p.append(st)
-            if len(rr):
-                retry_p.append(rr)
-            if len(rd):
-                redir_p.append(rd)
-            if len(se):
-                sess_p.append(se)
-    items = pa.concat_tables(items_p) if items_p else schemas.ITEMS.empty_table()
-    links = pa.concat_tables(links_p) if links_p else schemas.LINKS.empty_table()
-    stats = (pa.concat_tables(stats_p) if stats_p
-             else HOST_STATS_SCHEMA.empty_table())
-    retries = (pa.concat_tables(retry_p) if retry_p
-               else schemas.RETRY_ROWS.empty_table())
-    redirects = (pa.concat_tables(redir_p) if redir_p
-                 else schemas.REDIRECT_ROWS.empty_table())
-    sess = (pa.concat_tables(sess_p) if sess_p
-            else SESSION_SCHEMA.empty_table())
-    return (items, links, n, stats, retries, redirects,
-            (nd_sum, nw_sum, ne_sum), sess)
-
-
-def fetch_wave(corpus_root: str, wave: pa.Table, n_buckets: int) -> ray.data.Dataset:
-    """wave (FRONTIER rows) -> Dataset of fetched pages + carry-through cols.
-
-    Misses (dangling links) simply produce no row — the reference's 404 path.
-    """
-    hashes = wave["url_hash"].to_numpy(zero_copy_only=False)
-    buckets = np.unique(hashes % np.uint64(n_buckets)).astype(int).tolist()
-    lookup = {
-        u: (int(d), int(p), int(s), cb)
-        for u, d, p, s, cb in zip(
-            wave["url"].to_pylist(),
-            wave["depth"].to_pylist(),
-            wave["priority"].to_pylist(),
-            wave["seq"].to_pylist(),
-            wave["callback"].to_pylist(),
-        )
-    }
-    ref = ray.put(lookup)
-    ds = read_pages(corpus_root, buckets=buckets)
-    return ds.map_batches(lambda b: _probe(b, ref), batch_format="pyarrow")
+        parts.extend(ray.get(done))
+    return FetchResult.merge(parts)

@@ -549,16 +549,10 @@ class ShardedFrontier:
         ray.get([s.set_epoch.remote(epoch) for s in self.shards])
 
     def push(self, rows: pa.Table) -> int:
-        return sum(ray.get(self.push_async(rows)))
-
-    def push_async(self, rows: pa.Table) -> list:
-        """Submit the per-shard push RPCs without waiting. Per-actor FIFO
-        guarantees a later next_wave RPC on the same shard sees these rows,
-        so the engine may defer the ray.get into its end-of-wave overlap
-        section; shard errors (StaleShardError) surface there instead —
-        same recovery path, detection delayed by under one wave."""
+        """Route rows to their host's shard and wait for every push; returns
+        the number of rows the shards accepted."""
         if len(rows) == 0:
-            return []
+            return 0
         shard = self.shard_of_hosts(rows["host"].to_pylist())
         futs = []
         for s in range(self.n_shards):
@@ -566,22 +560,7 @@ class ShardedFrontier:
             if len(idx):
                 futs.append(self.shards[s].push.remote(rows.take(pa.array(idx)),
                                                        epoch=self.epoch))
-        return futs
-
-    def update_sessions_async(self, hosts: list[str], tokens: list[int]) -> list:
-        """F6: route per-host session updates to the owning shards —
-        submit-only (FIFO-ordered before the next wave's drain)."""
-        if not hosts:
-            return []
-        shard = self.shard_of_hosts(hosts)
-        futs = []
-        for s in range(self.n_shards):
-            idx = np.nonzero(shard == s)[0]
-            if len(idx):
-                futs.append(self.shards[s].update_sessions.remote(
-                    [hosts[i] for i in idx], [tokens[i] for i in idx],
-                    epoch=self.epoch))
-        return futs
+        return sum(ray.get(futs))
 
     def sessions(self) -> dict[str, int]:
         """Merged host -> session-token map (disjoint by host partitioning)."""
@@ -613,7 +592,15 @@ class ShardedFrontier:
         loop with one hash-partition pass). Shards with no payload and no
         checkpoint/drain request are skipped entirely. Returns futures; a
         shard's future resolves to its next-wave part (or None when no
-        drain was requested)."""
+        drain was requested).
+
+        Errors surface when the futures are read. On a checkpoint wave the
+        engine reads them before the commit; otherwise only when the next
+        wave consumes the prefetch, so a shard push error such as
+        StaleShardError is raised one wave late, after the pushing wave's
+        sink, lineage and metrics have advanced, and is attributed to the
+        wrong wave. Recovery is unaffected: it rolls every shard back to
+        the last committed checkpoint either way."""
         row_shard = None
         if rows is not None and len(rows):
             row_shard = self.shard_of_hosts(rows["host"].to_pylist())
@@ -664,9 +651,6 @@ class ShardedFrontier:
 
     def next_wave(self, wave_idx: int) -> pa.Table:
         return self.merge_wave(ray.get(self.next_wave_async(wave_idx)))
-
-    def total_size(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
 
     def earliest_ready_wave(self) -> int | None:
         vals = [v for v in ray.get([s.earliest_ready_wave.remote(epoch=self.epoch)

@@ -89,28 +89,26 @@ def test_engine_matches_goldens(ray_session, e2e_corpus):
     assert eng.items.sort_by("url").equals(items_g.sort_by("url"))
 
 
-def test_fetch_wave_dataset_path(ray_session, e2e_corpus):
-    """The Dataset-API fetch join (used for corpus-scale scans) returns the
-    same pages as the task fast path for the same wave."""
-    import numpy as np
-    import pyarrow as pa
+def test_fetch_parse_wave_matches_corpus_read(ray_session, e2e_corpus):
+    """The raw-task fetch of the first wave fetches exactly the wave URLs an
+    independent pyarrow.dataset read of the corpus finds, and every item
+    comes from a wave URL."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
 
-    from scrapy_ray import schemas
-    from scrapy_ray.pipelines.crawl import CrawlEngine
-    from scrapy_ray.config import CrawlConfig
-    from scrapy_ray.stages.fetch import fetch_parse_wave, fetch_wave
+    from scrapy_ray.stages.fetch import fetch_parse_wave
 
     eng = CrawlEngine(e2e_corpus, CrawlConfig(n_filter_shards=2, n_frontier_shards=2))
     eng.seed()
     wave = eng.frontier.next_wave(0)
-    ds = fetch_wave(e2e_corpus, wave, eng.n_buckets)
-    ds_urls = set()
-    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        ds_urls.update(b["url"].to_pylist())
-    items, links, n_fetched, _hstats, _rr, _rd, _sz, _se = fetch_parse_wave(
-        e2e_corpus, wave, eng.n_buckets)
-    assert len(ds_urls) == n_fetched
-    assert ds_urls <= set(wave["url"].to_pylist())
+    wave_urls = set(wave["url"].to_pylist())
+    pages = pads.dataset(os.path.join(e2e_corpus, "pages"), format="parquet",
+                         partitioning="hive")
+    found = pages.to_table(columns=["url"],
+                           filter=pc.field("url").isin(list(wave_urls)))
+    res = fetch_parse_wave(eng.fetch_plan, wave)
+    assert res.n_fetched == len(set(found["url"].to_pylist())) > 0
+    assert set(res.items["url"].to_pylist()) <= wave_urls
 
 
 def test_crawl_delay_host_paces_one_per_wave(ray_session, e2e_corpus):
