@@ -3,10 +3,15 @@
 
 All vectorized numpy over 64-bit token hashes (functions/hashing.hash64);
 deterministic (fixed permutation seeds), mergeable, and unit-tested against
-brute-force definitions in tests/test_training.py.
+brute-force definitions in tests/test_training.py and tests/test_kernels.py.
+The batch kernels take every document's hashes as one flat array plus
+per-document lengths, so a batch costs a few numpy calls, not a loop.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -14,12 +19,19 @@ from scrapy_ray.functions.hashing import hash64
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _SEED = 1234567
+# Cap on the elements of one flat-kernel temporary ((n_perm, tokens) for
+# MinHash, (tokens, 64) bits for SimHash): longer inputs are cut at page
+# boundaries into chunks of at most this size (a larger single page goes alone).
+_CHUNK_ELEMS = 1 << 22
 
 
+@functools.lru_cache(maxsize=None)
 def _perms(n_perm: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(_SEED)
     a = rng.integers(1, 1 << 61, size=n_perm, dtype=np.uint64) | np.uint64(1)
     b = rng.integers(0, 1 << 61, size=n_perm, dtype=np.uint64)
+    a.flags.writeable = False       # shared by every caller through the cache
+    b.flags.writeable = False
     return a, b
 
 
@@ -27,7 +39,8 @@ def minhash_signature(token_hashes: np.ndarray, n_perm: int = 64) -> np.ndarray:
     """(t,) uint64 token hashes -> (n_perm,) uint64 MinHash signature.
 
     h_i = min over tokens of (a_i * h + b_i) mod (2^61 - 1) — the classic
-    universal-hash permutation family (Broder '97)."""
+    universal-hash permutation family (Broder '97). The one-document
+    definition; the batch kernels are ``minhash_flat``/``minhash_many``."""
     a, b = _perms(n_perm)
     h = token_hashes.astype(np.uint64) & _MERSENNE
     # (n_perm, t): cheap at doc scale; modular mul in uint64 with M61 wraps ok
@@ -35,17 +48,81 @@ def minhash_signature(token_hashes: np.ndarray, n_perm: int = 64) -> np.ndarray:
     return vals.min(axis=1)
 
 
+def _segments(h: np.ndarray, lengths: Sequence[int], width: int
+              ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk flat token hashes page by page: page i owns the next
+    ``lengths[i]`` entries of ``h``. Yields ``(pages, tokens, starts, counts)``
+    per chunk: the indices of the chunk's non-empty pages, the chunk's
+    tokens, each non-empty page's start within them (``reduceat`` indices —
+    empty pages are left out, since ``reduceat`` gives a zero-length segment
+    the next element instead of an identity) and its token count."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    h = np.asarray(h).astype(np.uint64, copy=False)
+    cap = max(1, _CHUNK_ELEMS // width)
+    p0, n = 0, len(lengths)
+    while p0 < n:
+        p1 = int(np.searchsorted(offsets, offsets[p0] + cap, side="right")) - 1
+        p1 = max(p1, p0 + 1)
+        pages = np.flatnonzero(lengths[p0:p1]) + p0
+        if len(pages):
+            t0 = offsets[p0]
+            yield pages, h[t0:offsets[p1]], offsets[pages] - t0, lengths[pages]
+        p0 = p1
+
+
+def minhash_flat(h: np.ndarray, lengths: Sequence[int], n_perm: int = 64) -> np.ndarray:
+    """Flat token hashes of n pages (page i owns the next ``lengths[i]``)
+    -> (n, n_perm) MinHash signatures; an empty page keeps ``_MERSENNE``.
+    One (n_perm, tokens) universal-hash evaluation, then a segmented min."""
+    a, b = _perms(n_perm)
+    out = np.full((len(lengths), n_perm), _MERSENNE, dtype=np.uint64)
+    for pages, tok, starts, _ in _segments(h, lengths, n_perm):
+        vals = a[:, None] * (tok & _MERSENNE)[None, :]
+        vals += b[:, None]
+        vals %= _MERSENNE
+        out[pages] = np.minimum.reduceat(vals, starts, axis=1).T
+    return out
+
+
+def simhash_flat(h: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Flat token hashes of n pages -> (n,) uint64 Charikar SimHash
+    fingerprints; an empty page gets 0. Bit j is set where more than half
+    of the page's tokens have bit j set."""
+    out = np.zeros(len(lengths), dtype=np.uint64)
+    for pages, tok, starts, counts in _segments(h, lengths, 64):
+        bits = np.unpackbits(np.ascontiguousarray(tok, dtype="<u8").view(np.uint8)
+                             .reshape(-1, 8), axis=1, bitorder="little")
+        ones = np.add.reduceat(bits, starts, axis=0, dtype=np.int32)
+        fp = np.packbits(2 * ones > counts[:, None], axis=1, bitorder="little")
+        out[pages] = fp.view("<u8").ravel()
+    return out
+
+
+def unique_per_page(h: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat token hashes -> the same pages' sorted unique hashes (what
+    ``np.unique`` gives page by page) and their new lengths."""
+    n = len(lengths)
+    page = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    order = np.lexsort((h, page))
+    h, page = h[order], page[order]
+    keep = np.ones(len(h), dtype=bool)
+    keep[1:] = (h[1:] != h[:-1]) | (page[1:] != page[:-1])
+    return h[keep], np.bincount(page[keep], minlength=n).astype(np.int64)
+
+
+def _flatten(token_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.array([len(s) for s in token_sets], dtype=np.int64)
+    if not len(token_sets):
+        return np.empty(0, dtype=np.uint64), lengths
+    return np.concatenate([np.asarray(s).astype(np.uint64, copy=False)
+                           for s in token_sets]), lengths
+
+
 def minhash_many(token_sets: list[np.ndarray], n_perm: int = 64) -> np.ndarray:
     """list of per-doc token-hash arrays -> (n_docs, n_perm) signatures."""
-    out = np.empty((len(token_sets), n_perm), dtype=np.uint64)
-    a, b = _perms(n_perm)
-    for i, h in enumerate(token_sets):
-        if len(h) == 0:
-            out[i] = _MERSENNE
-            continue
-        hh = h.astype(np.uint64) & _MERSENNE
-        out[i] = ((a[:, None] * hh[None, :] + b[:, None]) % _MERSENNE).min(axis=1)
-    return out
+    return minhash_flat(*_flatten(token_sets), n_perm=n_perm)
 
 
 def band_keys(signatures: np.ndarray, n_bands: int = 8) -> np.ndarray:
@@ -64,20 +141,11 @@ def band_keys(signatures: np.ndarray, n_bands: int = 8) -> np.ndarray:
 
 def simhash64(token_hashes: np.ndarray) -> int:
     """Charikar SimHash over 64-bit token hashes -> 64-bit fingerprint."""
-    if len(token_hashes) == 0:
-        return 0
-    bits = ((token_hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
-            & np.uint64(1)).astype(np.int64)
-    score = (2 * bits - 1).sum(axis=0)
-    fp = np.uint64(0)
-    for j in range(64):
-        if score[j] > 0:
-            fp |= np.uint64(1) << np.uint64(j)
-    return int(fp)
+    return int(simhash_flat(token_hashes, [len(token_hashes)])[0])
 
 
 def simhash_many(token_sets: list[np.ndarray]) -> np.ndarray:
-    return np.array([simhash64(h) for h in token_sets], dtype=np.uint64)
+    return simhash_flat(*_flatten(token_sets))
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

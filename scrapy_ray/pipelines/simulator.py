@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
+from urllib.parse import urljoin
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -31,7 +32,7 @@ from scrapy_ray.functions.hashing import hash64_one
 from scrapy_ray.functions.htmlx import (base_url, extract_detail,
                                         extract_links, visible_text)
 from scrapy_ray.functions.textnorm import parse_price, parse_rating
-from scrapy_ray.functions.urlnorm import canonicalize_url, host_of, urljoin_many
+from scrapy_ray.functions.urlnorm import canonicalize_url, host_of
 from scrapy_ray.sources.corpus import corpus_paths
 from scrapy_ray.stages.extract import _KIND
 from scrapy_ray.state.frontier import _NEVER, _path_of
@@ -237,7 +238,6 @@ def simulate_crawl(corpus_root: str, cfg: CrawlConfig | None = None,
                 if (cfg.redirect_max and statuses[i] in cfg.redirect_codes
                         and locations[i]
                         and c.get("redirects", 0) < cfg.redirect_max):
-                    from urllib.parse import urljoin
                     tu = canonicalize_url(urljoin(c["url"], locations[i]))
                     redirect_cands.append({"url": tu, "host": host_of(tu),
                                            "depth": c["depth"],
@@ -267,7 +267,6 @@ def simulate_crawl(corpus_root: str, cfg: CrawlConfig | None = None,
                 from scrapy_ray.functions.htmlx import meta_refresh
                 mr = meta_refresh(html)
                 if mr is not None and mr[0] <= cfg.metarefresh_maxdelay:
-                    from urllib.parse import urljoin
                     tu = canonicalize_url(urljoin(_b(c["url"], html), mr[1]))
                     redirect_cands.append({"url": tu, "host": host_of(tu),
                                            "depth": c["depth"],
@@ -313,8 +312,11 @@ def simulate_crawl(corpus_root: str, cfg: CrawlConfig | None = None,
                 pr = match_rule(c["url"], CRAWL_RULES)
                 if pr is not None and not pr.follow:
                     raw_links = []
-            for u in urljoin_many(base_url(c["url"], html), raw_links):
-                cu = canonicalize_url(u)
+            # stdlib urljoin, not the engine's fast-path urljoin_many: the
+            # oracle stays independent of the kernel it checks
+            base = base_url(c["url"], html)
+            for href in raw_links:
+                cu = canonicalize_url(urljoin(base, href))
                 if CRAWL_RULES and match_rule(cu, CRAWL_RULES) is None:
                     continue
                 cands.append({"url": cu, "host": host_of(cu),

@@ -1,21 +1,22 @@
 """Page featurization stage — the bench's throughput kernel and the model
 web-text feature-extraction pipeline: parse + extract + text stats + sketches
-in one actor-pool ``map_batches`` pass over raw pages.
+in one ``map_batches`` pass over raw pages (stateless tasks by default, an
+actor pool on request; see ``featurize_corpus``).
 
-This is the shape a 100 TB training-data run has: heavy, vectorizable
-per-page CPU (regex extraction, visible text, shingling, MinHash, SimHash)
-with all state (compiled regexes, permutation tables) built once per actor in
-``__init__`` (SURVEY.md §7.2)."""
+This is the shape a 100 TB training-data run has: heavy per-page CPU
+(regex extraction, visible text, tokenizing) in a Python row loop, then the
+vector kernels (token hashing, per-page dedup, MinHash, SimHash) once per
+batch over the flat token list (SURVEY.md §7.2)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
-from scrapy_ray.functions.htmlx import extract_detail, visible_text
-from scrapy_ray.functions.sketch import _perms, band_keys, minhash_many, simhash64
-from scrapy_ray.functions.textnorm import parse_price, parse_rating
 from scrapy_ray.functions.hashing import hash64
+from scrapy_ray.functions.htmlx import extract_detail, visible_text
+from scrapy_ray.functions.sketch import minhash_flat, simhash_flat, unique_per_page
+from scrapy_ray.functions.textnorm import parse_price, parse_rating
 from scrapy_ray.stages.extract import _KIND
 
 FEATURES_SCHEMA = pa.schema(
@@ -35,15 +36,14 @@ FEATURES_SCHEMA = pa.schema(
 
 
 class PageFeaturizer:
-    """Callable class -> actor pool; __init__ once per actor."""
+    """Callable class: ``map_batches`` UDF, or an actor pool's per-actor state."""
 
     N_PERM = 16
 
-    def __init__(self):
-        self._perm_a, self._perm_b = _perms(self.N_PERM)  # warm the perm cache
-
     def __call__(self, t: pa.Table) -> pa.Table:
-        cols: dict[str, list] = {k: [] for k in FEATURES_SCHEMA.names}
+        cols: dict[str, list] = {k: [] for k in FEATURES_SCHEMA.names[:-2]}
+        tokens: list[str] = []      # every page's distinct tokens, in page order
+        n_uniq: list[int] = []
         urls = t["url"].to_pylist()
         htmls = t["html"].to_pylist()
         for url, html in zip(urls, htmls):
@@ -52,8 +52,8 @@ class PageFeaturizer:
             text = visible_text(html)
             toks = text.split()
             uniq = set(toks)
-            th = np.unique(hash64(list(uniq))) if uniq else np.empty(0, dtype=np.uint64)
-            sig = minhash_many([th], n_perm=self.N_PERM)[0]
+            tokens.extend(uniq)
+            n_uniq.append(len(uniq))
             if kind in ("hotel", "restaurant"):
                 d = extract_detail(html)
                 name = d["name"]
@@ -69,8 +69,13 @@ class PageFeaturizer:
             cols["n_chars"].append(len(text))
             cols["n_tokens"].append(len(toks))
             cols["uniq_ratio"].append(len(uniq) / max(1, len(toks)))
-            cols["simhash"].append(int(np.uint64(simhash64(th)).view(np.int64)))
-            cols["minhash"].append(sig.tolist())
+        h = hash64(tokens) if tokens else np.empty(0, dtype=np.uint64)
+        h, lengths = unique_per_page(h, n_uniq)
+        sig = minhash_flat(h, lengths, n_perm=self.N_PERM)
+        cols["simhash"] = pa.array(simhash_flat(h, lengths).view(np.int64))
+        cols["minhash"] = pa.ListArray.from_arrays(
+            pa.array(np.arange(0, sig.size + 1, self.N_PERM, dtype=np.int32)),
+            pa.array(sig.ravel()))
         return pa.table(cols, schema=FEATURES_SCHEMA)
 
 

@@ -1,9 +1,6 @@
-"""Link emission + vectorized request filters (SURVEY.md §2.2 M4–M9).
-
-One batch pass turns fetched pages into candidate frontier rows: extract all
-hrefs ([S:scrapy/linkextractors/lxmlhtml.py]), absolutize + canonicalize
-(M5 [S:w3lib/url.py]), hash, then apply the spider-middleware filters as
-vectorized Arrow predicates:
+"""Vectorized request filters (SURVEY.md §2.2 M7–M9), applied inside the
+fetch tasks to the candidate links that ``stages/parse.py`` emits (already
+absolutized, canonicalized (M5 [S:w3lib/url.py]) and hashed):
 
 - offsite   (M7 [S:scrapy/spidermiddlewares/offsite.py])   host suffix-match
 - urllength (M8 [S:scrapy/spidermiddlewares/urllength.py]) <= 2083
@@ -16,64 +13,10 @@ against the filter shards (state/urlseen.py, SURVEY §2.4 J4).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
-from scrapy_ray.functions.hashing import hash64
-from scrapy_ray.functions.htmlx import base_url, extract_links
-from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of, urljoin_many
-from scrapy_ray.stages.extract import classify_callback
-
-
-def extract_links_batch(t: pa.Table) -> pa.Table:
-    """Fetched pages -> candidate links (schema LINKS), unfiltered.
-
-    Expects frontier carry-through columns ``depth`` and ``priority`` on the
-    page rows (denormalized, mirroring Request.meta passing — SURVEY §2.4 J3).
-    """
-    urls = t["url"].to_pylist()
-    htmls = t["html"].to_pylist()
-    n = len(t)
-    depths = (t["depth"].to_numpy(zero_copy_only=False)
-              if "depth" in t.column_names else np.zeros(n, dtype=np.int32))
-    pseqs = (t["seq"].to_numpy(zero_copy_only=False)
-             if "seq" in t.column_names else np.zeros(n, dtype=np.int64))
-
-    out_url: list[str] = []
-    out_parent: list[str] = []
-    out_depth: list[int] = []
-    out_pseq: list[int] = []
-    out_idx: list[int] = []
-    for url, html, depth, pseq in zip(urls, htmls, depths, pseqs):
-        hrefs = extract_links(html)
-        if not hrefs:
-            continue
-        abs_urls = urljoin_many(base_url(url, html), hrefs)
-        d = int(depth) + 1
-        out_url.extend(abs_urls)
-        out_parent.extend([url] * len(abs_urls))
-        out_depth.extend([d] * len(abs_urls))
-        out_pseq.extend([int(pseq)] * len(abs_urls))
-        out_idx.extend(range(len(abs_urls)))
-
-    canon = canonicalize_urls(out_url)
-    return pa.table(
-        {
-            "url": pa.array(canon, type=pa.string()),
-            "host": pa.array(hosts_of(canon), type=pa.string()),
-            "url_hash": pa.array(hash64(canon) if canon else [], type=pa.uint64()),
-            "depth": pa.array(out_depth, type=pa.int32()),
-            "priority": pa.array(np.zeros(len(canon), dtype=np.int32)),
-            "parent_url": pa.array(out_parent, type=pa.string()),
-            "parent_seq": pa.array(out_pseq, type=pa.int64()),
-            "link_idx": pa.array(out_idx, type=pa.int32()),
-            "callback": pa.array(classify_callback(canon), type=pa.string()),
-        },
-        schema=schemas.LINKS,
-    )
 
 
 def filter_params(cfg: CrawlConfig) -> tuple:

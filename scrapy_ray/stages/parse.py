@@ -1,5 +1,5 @@
-"""Fused parse stage: one distributed ``map_batches`` pass per fetched wave
-(SURVEY.md §3.1 step 3–4).
+"""Fused parse stage (SURVEY.md §3.1 step 3–4), run inside each fetch task
+(``stages/fetch.py``) on the pages it just joined.
 
 Input: fetched page batches with frontier carry-through columns
 (url, html, status, depth, priority, seq, callback). Output: ONE row per
@@ -10,9 +10,9 @@ fetched page with
   already absolutized + canonicalized + hashed *inside the task*, so the
   driver only flattens offsets (numpy) and never touches html bytes.
 
-This keeps all heavy work (regex extraction, canonicalization, hashing,
-visible-text) distributed and lets the wave loop consume a single Dataset
-execution per wave.
+The per-page Python loop does extraction, joining and canonicalization; the
+vector kernels (host extraction, hashing) run once per batch over the flat
+list of every page's links.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def _item_from_handler(item: dict | None, cb: str, html: bytes) -> tuple[bool, d
         "price_value": item.get("price_value"),
         "review_count": item.get("review_count"),
         "reviews": item.get("reviews"),
-        "extracted_text": item.get("extracted_text", visible_text(html)),
+        "extracted_text": (item["extracted_text"] if "extracted_text" in item
+                           else visible_text(html)),
     }
     return True, out
 
@@ -101,7 +102,9 @@ def parse_page_batch(t: pa.Table, handlers: dict | None = None,
            if (handlers or rules) else [None] * n)
     allowed = frozenset(allowed_statuses)
 
-    cols: dict[str, list] = {k: [] for k in PARSED_SCHEMA.names}
+    cols: dict[str, list] = {k: [] for k in PARSED_SCHEMA.names[:-3]}
+    flat_links: list[str] = []      # every page's links, in page order
+    offsets = [0]                   # page i's links: flat_links[offsets[i]:offsets[i+1]]
     for url, html, seq, depth, st, cb in zip(urls, htmls, seqs, depths, status, cbs):
         # M10 + HttpError pass-through ([S:httperror.py handle_httpstatus_list])
         ok = 200 <= st < 300 or st in allowed
@@ -149,9 +152,17 @@ def parse_page_batch(t: pa.Table, handlers: dict | None = None,
         cols["depth"].append(depth)
         cols["status_ok"].append(ok)
         cols["item_ok"].append(item_ok)
-        cols["link_url"].append(links)
-        cols["link_host"].append(list(hosts_of(links)) if links else [])
-        cols["link_hash"].append(hash64(links).tolist() if links else [])
+        flat_links.extend(links)
+        offsets.append(len(flat_links))
+    # host + hash once per batch; the three list columns share one offsets array
+    off = pa.array(offsets, type=pa.int32())
+    link_cols = {
+        "link_url": pa.array(flat_links, type=pa.string()),
+        "link_host": pa.array(hosts_of(flat_links), type=pa.string()),
+        "link_hash": pa.array(hash64(flat_links) if flat_links else [], type=pa.uint64()),
+    }
+    for name, values in link_cols.items():
+        cols[name] = pa.ListArray.from_arrays(off, values)
     return pa.table(cols, schema=PARSED_SCHEMA)
 
 
