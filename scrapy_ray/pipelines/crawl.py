@@ -16,12 +16,18 @@ Each wave:
    (resumable layout — one directory per wave).
 4. links: canonical (parent_seq, link_idx) sort -> optional link-middleware
    chain -> vectorized M7/M8/M9 filters -> batched anti-join against the
-   URL-seen shards -> seq assignment -> pushed to the frontier shards
-   (hash(host) routing).
-5. every ``checkpoint_every`` waves: each shard checkpoints its queue /
-   Bloom segment / clocks atomically, and the driver writes a manifest with
+   URL-seen partitions (url_hash routing) -> seq assignment -> ONE
+   ``end_wave`` RPC per shard actor: push to the frontier partitions
+   (hash(host) routing) and drain the next wave.
+5. every ``checkpoint_every`` waves: that same ``end_wave`` RPC has each
+   shard actor checkpoint both of its partitions (queue / clocks, exact
+   set / Bloom segment) atomically, and the driver writes a manifest with
    per-wave lineage + metrics — a killed run resumes at the last complete
    wave exactly [B:north_rule].
+
+Shard state lives in one ``ShardPool`` (state/shard.py): CrawlShard actor
+*i* holds URL-seen partition *i* and frontier partition *i*;
+``self.urlseen`` and ``self.frontier`` are routing views over it.
 
 Library code: no ray.init() here — the caller owns the session.
 """
@@ -48,8 +54,7 @@ from scrapy_ray.stages.extract import classify_callback
 from scrapy_ray.stages.fetch import FetchPlan, fetch_parse_wave
 from scrapy_ray.stages.links import filter_links, filter_params
 from scrapy_ray.state.errors import StaleShardError
-from scrapy_ray.state.frontier import ShardedFrontier
-from scrapy_ray.state.urlseen import ShardedUrlSeen
+from scrapy_ray.state.shard import ShardPool
 
 
 @dataclass
@@ -192,12 +197,8 @@ class CrawlEngine:
         self.fetch_plan = FetchPlan.build(
             corpus_root, cfg, n_buckets=n_buckets,
             link_filter=None if self.link_middlewares else filter_params(cfg))
-        robots = read_robots(corpus_root) if cfg.obey_robots else None
-        self.urlseen = ShardedUrlSeen(cfg.n_filter_shards, cfg.bloom_capacity,
-                                      cfg.bloom_bits_per_key, exact=cfg.exact_urlseen,
-                                      scheduling=cfg.actor_scheduling,
-                                      resources=cfg.actor_resources)
-        self.frontier = ShardedFrontier(cfg, robots)
+        self.shards = ShardPool(cfg, read_robots(corpus_root) if cfg.obey_robots else None)
+        self.urlseen, self.frontier = self.shards.urlseen, self.shards.frontier
         # driver-side run state (persisted in the manifest)
         self.wave_idx = 0
         self.next_seq = 0
@@ -219,19 +220,9 @@ class CrawlEngine:
         # the round-4 attack on the per-wave serial floor (VERDICT item 2)
         # (wave_idx, futures-or-parts, materialized) — see run_wave overlap
         self._prefetch: tuple[int, list, bool] | None = None
-        self._epoch = 0
         from collections import defaultdict as _dd
 
         self.phase_times: dict[str, float] = _dd(float)  # driver-side wave phases
-
-    def _stamp(self) -> None:
-        """Stamp all shards with a fresh epoch. A shard that later restarts
-        (losing state) reverts to epoch -1 and raises StaleShardError on its
-        next use — the detect-on-next-use half of fault tolerance (the
-        other half is recover())."""
-        self._epoch += 1
-        self.urlseen.set_epoch(self._epoch)
-        self.frontier.set_epoch(self._epoch)
 
     # --- checkpoint plumbing (SURVEY §4.2) ---
     # Round-2 rework (ADVICE high): a checkpoint is a VERSIONED directory
@@ -255,23 +246,16 @@ class CrawlEngine:
             # the public method is for wave boundaries (loop end).
             raise RuntimeError("checkpoint() while a wave prefetch is "
                                "pending — call only at loop boundaries")
-        self._commit_checkpoint(*self._checkpoint_shards_async())
-
-    def _checkpoint_shards_async(self) -> tuple[str, list]:
-        """Submit every shard's checkpoint RPC for v=<wave_idx> WITHOUT
-        waiting. Issued BEFORE the prefetched next_wave RPCs (per-actor FIFO
-        ⇒ the checkpoint captures pre-drain state, exactly like the old
-        synchronous path), ray.get()'d by _commit_checkpoint before the
-        manifest pointer swap — the commit point and its atomicity are
-        unchanged; only the shard writes now overlap driver sink work."""
         vdir = os.path.join(self.ckpt, f"v={self.wave_idx}")
         os.makedirs(vdir, exist_ok=True)
-        return vdir, (self.urlseen.checkpoint_async(vdir)
-                      + self.frontier.checkpoint_async(vdir))
+        self._commit_checkpoint(vdir, self.shards.checkpoint_async(vdir))
 
-    def _commit_checkpoint(self, vdir: str, shard_futs: list) -> None:
+    def _commit_checkpoint(self, vdir: str, shard_futs: list) -> list:
+        """Make v=<wave_idx> the committed checkpoint once every sink file
+        and every shard segment in ``shard_futs`` is durable; returns the
+        futures' results."""
         self._drain_sinks()   # every lineage-referenced sink file durable
-        ray.get(shard_futs)   # every shard segment durable before the commit
+        shard_res = ray.get(shard_futs)   # every shard segment durable
         stmp = os.path.join(vdir, "state.json.tmp")
         with open(stmp, "w") as fh:
             json.dump({"wave_idx": self.wave_idx, "next_seq": self.next_seq,
@@ -294,6 +278,7 @@ class CrawlEngine:
         for d in os.listdir(self.ckpt):
             if d.startswith("v=") and d != f"v={self.wave_idx}":
                 shutil.rmtree(os.path.join(self.ckpt, d), ignore_errors=True)
+        return shard_res
 
     def try_resume(self) -> bool:
         """Reload shard state from the manifest-referenced checkpoint
@@ -305,9 +290,8 @@ class CrawlEngine:
         vdir = os.path.join(self.ckpt, f"v={ptr['version']}")
         with open(os.path.join(vdir, "state.json")) as fh:
             m = json.load(fh)
-        self.urlseen.restore(vdir)
-        self.frontier.restore(vdir)
-        self._stamp()
+        self.shards.restore(vdir)
+        self.shards.stamp()
         self.wave_idx = m["wave_idx"]
         self.next_seq = m["next_seq"]
         self.pages_fetched = m["pages_fetched"]
@@ -367,8 +351,7 @@ class CrawlEngine:
                         raise RuntimeError("checkpoint restore failed")
                     return
                 # no committed checkpoint: full deterministic restart
-                self.urlseen.reset()
-                self.frontier.reset()
+                self.shards.reset()
                 self._mem_items, self._mem_order = [], []
                 self.session_log = []
                 self.wave_idx = 0
@@ -388,23 +371,14 @@ class CrawlEngine:
         raise last
 
     def warm(self) -> None:
-        """Block until every shard actor process is up and its Arrow/numpy
-        argument (de)serialization paths are primed (the FIRST RPC carrying
-        a pa.Table costs ~0.4s of one-time serializer setup — measured).
+        """Block until every shard actor is up and primed (ShardPool.warm).
         Process startup is environment cost, not crawl throughput — benches
-        call this before the timed region, same as task-worker warmup.
-        Empty payloads: no state is mutated."""
-        import ray as _ray
-
-        empty = schemas.FRONTIER.empty_table()
-        _ray.get([s.check_and_add.remote(np.empty(0, dtype=np.uint64), None)
-                  for s in self.urlseen.shards] +
-                 [s.end_wave.remote(empty, None, None, None, None)
-                  for s in self.frontier.shards])
+        call this before the timed region, same as task-worker warmup."""
+        self.shards.warm()
 
     def seed(self, seeds: list[dict] | None = None) -> None:
         self._seeds = seeds  # kept for checkpoint-less recovery (recover())
-        self._stamp()
+        self.shards.stamp()
         if self.cfg.deltafetch_items:
             # DeltaFetch: pre-mark item-producing URLs from the previous
             # crawl as seen BEFORE seeding — the dupefilter then drops them
@@ -613,31 +587,25 @@ class CrawlEngine:
         all_rows = pa.concat_tables(new_rows) if new_rows else None
         self.phase_times["frontier_push"] += _time.perf_counter() - _t0
 
-        # --- end-of-wave overlap (round 4) + merged shard RPC (round 5, the
-        # serial-floor attack continued): advance the wave index, then submit
-        # ONE end_wave RPC per frontier shard carrying its slice of the new
-        # rows + session updates + the optional checkpoint-segment request +
-        # the next wave's drain request — applied shard-side in the exact
-        # order the former separate RPCs had under per-actor FIFO (sessions →
-        # push → checkpoint → drain; the checkpoint still captures pre-drain
-        # state). The driver then does its sink/metrics work while the
-        # shards process; the former per-wave fan of up to 6 RPC-submission
-        # loops over the pool is one loop with one hash-partition pass.
+        # --- end-of-wave overlap: advance the wave index, then submit ONE
+        # end_wave RPC per shard actor carrying its slice of the new rows +
+        # session updates + the optional checkpoint request (both
+        # partitions' segments) + the next wave's drain request, applied
+        # shard-side in the order sessions → push → checkpoint → drain (the
+        # checkpoint captures pre-drain state). The driver then does its
+        # sink/metrics work while the shards process.
         done_idx = self.wave_idx
         self.wave_idx += 1
         do_ckpt = bool(self.ckpt and
                        (self.wave_idx % max(1, cfg.checkpoint_every) == 0))
         want_next = not self._should_stop()
         vdir = None
-        useen_futs: list = []
         if do_ckpt:
             vdir = os.path.join(self.ckpt, f"v={self.wave_idx}")
             os.makedirs(vdir, exist_ok=True)
-            useen_futs = self.urlseen.checkpoint_async(vdir)
         _t0 = _time.perf_counter()
         ew_futs = self.frontier.end_wave_async(
-            all_rows, sess_hosts, sess_tokens,
-            vdir if do_ckpt else None,
+            all_rows, sess_hosts, sess_tokens, vdir,
             self.wave_idx if want_next else None)
         self.phase_times["frontier_push"] += _time.perf_counter() - _t0
         _t0 = _time.perf_counter()
@@ -656,12 +624,12 @@ class CrawlEngine:
                 {"wave_fetch_ms": [int(self._last_fetch_s * 1000)],
                  "wave_pages": [n_fetched]})
         if do_ckpt:
-            # push + checkpoint segment (+ drain) complete on every frontier
-            # shard before the manifest commit — the commit point and its
-            # atomicity are unchanged; the drained parts become the prefetch
+            # push + checkpoint segments (+ drain) complete on every shard
+            # actor before the manifest commit; the drained parts become the
+            # prefetch
             _t0 = _time.perf_counter()
-            parts = [p for p in ray.get(ew_futs) if p is not None]
-            self._commit_checkpoint(vdir, useen_futs)
+            parts = [p for p in self._commit_checkpoint(vdir, ew_futs)
+                     if p is not None]
             self.phase_times["checkpoint"] += _time.perf_counter() - _t0
             if want_next:
                 self._prefetch = (self.wave_idx, parts, True)

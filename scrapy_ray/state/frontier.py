@@ -3,10 +3,12 @@ scheduler.
 
 The reference schedules through one in-process priority queue with per-host
 download slots ([S:scrapy/core/scheduler.py], [S:scrapy/pqueues.py],
-[S:scrapy/core/downloader/__init__.py Slot]). Here the frontier is an actor
-pool hash-partitioned by **host** [B:north_rule] — politeness and the robots
+[S:scrapy/core/downloader/__init__.py Slot]). Here the frontier is
+hash-partitioned by **host** [B:north_rule] — politeness and the robots
 cache need all of a host's URLs in one place (a co-located lookup, never a
-shuffle — SURVEY §2.4 J2). Each shard holds:
+shuffle — SURVEY §2.4 J2). Partition *i* lives in CrawlShard actor *i*
+(state/shard.py), which owns the epoch guard, the actor options and the
+checkpoint fan-out. Each partition holds:
 
 - per-host heaps ordered by (-priority, seq) — priority desc, FIFO tiebreak,
   the engine's deterministic total order (SURVEY §2.9);
@@ -36,7 +38,6 @@ import ray
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
 from scrapy_ray.functions.hashing import hash64
-from scrapy_ray.state.errors import StaleShardError
 from scrapy_ray.state.robots import ALLOW_ALL, RobotsRules, parse_robots
 
 _NEVER = -1 << 30
@@ -48,9 +49,14 @@ def _path_of(url: str) -> str:
     return url[j:] if j >= 0 else "/"
 
 
+def host_shard(hosts: list[str], n_shards: int) -> np.ndarray:
+    """Frontier partition of each host: ``hash64(host) % n_shards``."""
+    return (hash64(hosts) % np.uint64(n_shards)).astype(np.int64)
+
+
 class FrontierShard:
-    """One host-partition of the frontier. Plain class, Ray-wrapped by
-    ShardedFrontier; unit-testable standalone."""
+    """One host-partition of the frontier: plain partition state, held by a
+    CrawlShard actor; unit-testable standalone."""
 
     def __init__(self, shard_id: int, cfg: CrawlConfig, robots_bodies: dict[str, str] | None = None):
         self.shard_id = shard_id
@@ -89,16 +95,6 @@ class FrontierShard:
         # LAST-fetched response (max seq), carried on every emitted request
         # row as a `session` column when cfg.cookies is on.
         self.sessions: dict[str, int] = {}
-        self.epoch = -1  # stamped by the driver; -1 = fresh/restarted actor
-
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-
-    def _guard(self, epoch: int | None) -> None:
-        if epoch is not None and epoch != self.epoch:
-            raise StaleShardError(
-                f"frontier shard {self.shard_id}: epoch {self.epoch} != driver {epoch} "
-                "(actor restarted since last stamp)")
 
     def _rules(self, host: str) -> RobotsRules:
         return self.robots.get(host, ALLOW_ALL)
@@ -193,25 +189,20 @@ class FrontierShard:
             if wave_idx >= self._ready_at(host):
                 self._unspill_host(host)
 
-    def update_sessions(self, hosts: list[str], tokens: list[int],
-                        epoch: int | None = None) -> None:
+    def update_sessions(self, hosts: list[str], tokens: list[int]) -> None:
         """F6: overwrite each host's session token with this wave's value
         (the engine pre-reduced to the max-seq response per host; wave
         order means a later wave always wins, like a rotating Set-Cookie)."""
-        self._guard(epoch)
         for h, tok in zip(hosts, tokens):
             self.sessions[h] = int(tok)
 
-    def get_sessions(self, epoch: int | None = None) -> dict[str, int]:
-        self._guard(epoch)
+    def get_sessions(self) -> dict[str, int]:
         return dict(self.sessions)
 
-    def update_throttle(self, hosts: list[str], latencies: np.ndarray,
-                        epoch: int | None = None) -> None:
+    def update_throttle(self, hosts: list[str], latencies: np.ndarray) -> None:
         """F4 AutoThrottle ([S:scrapy/extensions/throttle.py] smoothing over
         the deterministic virtual latency — see config.py): one update per
         host per wave with that wave's mean response latency."""
-        self._guard(epoch)
         cfg = self.cfg
         for h, lat in zip(hosts, latencies):
             prev = self.at_delay.get(h, cfg.at_start_delay)
@@ -219,7 +210,7 @@ class FrontierShard:
             new = (prev + target) / 2.0
             self.at_delay[h] = min(max(new, cfg.download_delay), cfg.at_max_delay)
 
-    def push(self, rows: pa.Table, epoch: int | None = None) -> int:
+    def push(self, rows: pa.Table) -> int:
         """Enqueue FRONTIER rows; robots-denied rows are dropped here (they
         are already in the URL-seen set, matching the reference where the
         dupefilter runs at schedule time and robots gating at download time).
@@ -228,7 +219,6 @@ class FrontierShard:
         is built. The robots gate is a set-membership fast path — rows on
         hosts with no Disallow rules (the overwhelming majority) skip the
         per-path prefix match entirely."""
-        self._guard(epoch)
         hosts = rows["host"].to_pylist()
         if self.cfg.obey_robots and self._deny_hosts:
             urls = rows["url"].to_pylist()
@@ -244,17 +234,27 @@ class FrontierShard:
                 hosts = [h for h, a in zip(hosts, allowed) if a]
         if len(rows) == 0:
             return 0
+        self.blocks.append(rows)
+        self._add_runs(len(self.blocks) - 1, hosts)
+        self._queued += len(rows)
+        self.n_pushed += len(rows)
+        self._maybe_spill()
+        return len(rows)
+
+    def _add_runs(self, bid: int, hosts: list[str]) -> None:
+        """Append one sorted run per host for block ``bid`` (``hosts`` = its
+        host column): one factorize + lexsort by (host, -priority, seq), then
+        each host's slice found by searchsorted. Used by push, compaction and
+        restore."""
         import pandas as pd
 
-        bid = len(self.blocks)
-        self.blocks.append(rows)
+        rows = self.blocks[bid]
         pris = rows["priority"].to_numpy(zero_copy_only=False).astype(np.int64)
         seqs = rows["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
         codes, uniq_hosts = pd.factorize(np.asarray(hosts, dtype=object))
         order = np.lexsort((seqs, -pris, codes))
-        csorted = codes[order]
-        starts = np.searchsorted(csorted, np.arange(len(uniq_hosts)), side="left")
-        bounds = np.append(starts, len(csorted))
+        bounds = np.append(np.searchsorted(codes[order], np.arange(len(uniq_hosts))),
+                           len(order))
         negpri, seq_s, idx_s = -pris[order], seqs[order], order.astype(np.int64)
         for c, host in enumerate(uniq_hosts):
             lo, hi = int(bounds[c]), int(bounds[c + 1])
@@ -262,10 +262,6 @@ class FrontierShard:
                                       idx_s[lo:hi], 0])
             if len(self.queues[host]) > 16:
                 self._merge_runs(host)
-        self._queued += len(rows)
-        self.n_pushed += len(rows)
-        self._maybe_spill()
-        return len(rows)
 
     def _merge_runs(self, host: str) -> None:
         # _run_pairs normalizes BOTH run shapes — plain (bid, 1-D row idx)
@@ -300,13 +296,12 @@ class FrontierShard:
             parts.append(self.blocks[int(bid)].take(pa.array(ris, type=pa.int64())))
         return pa.concat_tables(parts)
 
-    def next_wave(self, wave_idx: int, epoch: int | None = None) -> pa.Table:
+    def next_wave(self, wave_idx: int) -> pa.Table:
         """Emit this wave's politeness-budgeted batch from every eligible
         host. Full drain (cap >= queued) is vectorized set-taking — order
         within the shard emission is irrelevant because the client sorts the
         merged wave by (priority desc, seq). Capped drain pops the exact
         (-priority, seq) top-k via a heap over run heads."""
-        self._guard(epoch)
         if self.spilled:
             self._unspill_ready(wave_idx)
         picks: list[np.ndarray] = []
@@ -378,40 +373,14 @@ class FrontierShard:
         live = self._take_pairs(self._all_pairs())
         self.blocks = [live] if len(live) else []
         self.queues = defaultdict(list)
-        q0, n0 = self._queued, self.n_pushed
         if len(live):
-            self._requeue_block(0)
-        self._queued, self.n_pushed = q0, n0
-
-    def _requeue_block(self, bid: int) -> None:
-        """Rebuild per-host runs for one block (used by compact + restore)."""
-        rows = self.blocks[bid]
-        import pandas as pd
-
-        hosts = rows["host"].to_pylist()
-        pris = rows["priority"].to_numpy(zero_copy_only=False).astype(np.int64)
-        seqs = rows["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-        codes, uniq_hosts = pd.factorize(np.asarray(hosts, dtype=object))
-        order = np.lexsort((seqs, -pris, codes))
-        csorted = codes[order]
-        starts = np.searchsorted(csorted, np.arange(len(uniq_hosts)), side="left")
-        bounds = np.append(starts, len(csorted))
-        negpri, seq_s, idx_s = -pris[order], seqs[order], order.astype(np.int64)
-        for c, host in enumerate(uniq_hosts):
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            self.queues[host].append([negpri[lo:hi], seq_s[lo:hi], bid,
-                                      idx_s[lo:hi], 0])
+            self._add_runs(0, live["host"].to_pylist())
 
     def size(self) -> int:
         return self._queued + sum(self.spilled.values())
 
-    def mem_rows(self) -> int:
-        """In-memory live rows only (the frontier_max_rows cap target)."""
-        return self._queued
-
-    def earliest_ready_wave(self, epoch: int | None = None) -> int | None:
+    def earliest_ready_wave(self) -> int | None:
         """Smallest wave index at which any queued host may emit (None=empty)."""
-        self._guard(epoch)
         best = None
         for host, q in self.queues.items():
             if not q:
@@ -423,8 +392,7 @@ class FrontierShard:
             best = ready if best is None else min(best, ready)
         return best
 
-    def stats(self, epoch: int | None = None) -> dict:
-        self._guard(epoch)
+    def stats(self) -> dict:
         return {"shard": self.shard_id, "queued": self.size(),
                 "mem_rows": self._queued,
                 "spilled_rows": sum(self.spilled.values()),
@@ -446,34 +414,10 @@ class FrontierShard:
         self.sessions = {}
         self.n_robots_denied = 0
         self.n_pushed = 0
-
-    def end_wave(self, rows: pa.Table | None, sess_hosts: list[str] | None,
-                 sess_tokens: list[int] | None, ckpt_dir: str | None,
-                 next_wave_idx: int | None,
-                 epoch: int | None = None) -> pa.Table | None:
-        """End-of-wave combined op (round 5, VERDICT r4 item 3): apply the
-        wave's session updates, enqueue its new rows, optionally write this
-        shard's checkpoint segment, and optionally drain the next wave — in
-        the EXACT order the formerly separate RPCs executed under per-actor
-        FIFO (sessions → pushes → checkpoint → next_wave), so shard state
-        transitions are byte-identical; only the RPC count changes (up to 6
-        submissions per shard per wave become one). The checkpoint segment
-        still captures pre-drain state: it is written before the drain
-        inside this single call."""
-        self._guard(epoch)
-        if sess_hosts:
-            self.update_sessions(sess_hosts, sess_tokens)
-        if rows is not None and len(rows):
-            self.push(rows)
-        if ckpt_dir is not None:
-            self.checkpoint(ckpt_dir)
-        if next_wave_idx is not None:
-            return self.next_wave(next_wave_idx)
-        return None
+        self.n_spilled_total = 0
 
     # --- checkpoint (SURVEY §4.2): queue rows + politeness clocks ---
-    def checkpoint(self, dirpath: str, epoch: int | None = None) -> None:
-        self._guard(epoch)  # a stale shard must never write a checkpoint
+    def checkpoint(self, dirpath: str) -> None:
         os.makedirs(dirpath, exist_ok=True)
         t = self._take_pairs(self._all_pairs())
         if self.spilled:   # disk-resident rows are frontier state too
@@ -499,7 +443,7 @@ class FrontierShard:
         self.blocks = [t] if len(t) else []
         self._queued = len(t)
         if len(t):
-            self._requeue_block(0)
+            self._add_runs(0, t["host"].to_pylist())
         with open(os.path.join(dirpath, f"clock_{self.shard_id}.json")) as fh:
             d = json.load(fh)
         self.last_emit_wave = {k: int(v) for k, v in d["last_emit_wave"].items()}
@@ -511,61 +455,33 @@ class FrontierShard:
 
 
 class ShardedFrontier:
-    """Driver-side client over the frontier shard pool."""
+    """Driver-side routing view over the frontier partitions of a ShardPool
+    (state/shard.py): actor *i* holds the hosts with ``host_shard == i``."""
 
-    def __init__(self, cfg: CrawlConfig, robots_bodies: dict[str, str] | None = None):
-        self.cfg = cfg
-        self.n_shards = cfg.n_frontier_shards
-        self.epoch: int | None = None  # engine stamps via set_epoch()
-        # each shard receives ONLY the robots entries for hosts it owns —
-        # at 10^7 hosts the cache partitions with the frontier instead of
-        # being replicated n_shards times (SURVEY §2.3 F5 cache locality)
-        parts: list[dict[str, str] | None] = [None] * self.n_shards
-        if robots_bodies:
-            parts = [{} for _ in range(self.n_shards)]
-            hosts = list(robots_bodies)
-            for host, s in zip(hosts, (hash64(hosts) % np.uint64(self.n_shards)).astype(int)):
-                parts[s][host] = robots_bodies[host]
-        # num_cpus=0 — see ShardedUrlSeen: always-schedulable RPC servers.
-        # max_restarts>0: dead shard revives empty with its ORIGINAL args
-        # (cfg + its robots partition); the driver restores queue/clock state
-        # from the last committed checkpoint (crawl.py recover()).
-        actor = ray.remote(FrontierShard)
-        opts = {"num_cpus": 0, "max_restarts": 4}
-        if cfg.actor_scheduling is not None:  # e.g. "SPREAD" across nodes
-            opts["scheduling_strategy"] = cfg.actor_scheduling
-        if cfg.actor_resources:               # e.g. worker-node-only pinning
-            opts["resources"] = dict(cfg.actor_resources)
-        self.shards = [
-            actor.options(**opts).remote(i, cfg, parts[i])
-            for i in range(self.n_shards)
-        ]
-
-    def shard_of_hosts(self, hosts: list[str]) -> np.ndarray:
-        return (hash64(hosts) % np.uint64(self.n_shards)).astype(np.int64)
-
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-        ray.get([s.set_epoch.remote(epoch) for s in self.shards])
+    def __init__(self, pool):
+        self._pool = pool
+        self.cfg = pool.cfg
+        self.n_shards = pool.cfg.n_frontier_shards
+        self.shards = pool.actors[:self.n_shards]
 
     def push(self, rows: pa.Table) -> int:
         """Route rows to their host's shard and wait for every push; returns
         the number of rows the shards accepted."""
         if len(rows) == 0:
             return 0
-        shard = self.shard_of_hosts(rows["host"].to_pylist())
+        shard = host_shard(rows["host"].to_pylist(), self.n_shards)
         futs = []
         for s in range(self.n_shards):
             idx = np.nonzero(shard == s)[0]
             if len(idx):
-                futs.append(self.shards[s].push.remote(rows.take(pa.array(idx)),
-                                                       epoch=self.epoch))
+                futs.append(self.shards[s].call.remote(
+                    "frontier", "push", rows.take(pa.array(idx)), epoch=self._pool.epoch))
         return sum(ray.get(futs))
 
     def sessions(self) -> dict[str, int]:
         """Merged host -> session-token map (disjoint by host partitioning)."""
         out: dict[str, int] = {}
-        for d in ray.get([s.get_sessions.remote(epoch=self.epoch)
+        for d in ray.get([s.call.remote("frontier", "get_sessions", epoch=self._pool.epoch)
                           for s in self.shards]):
             out.update(d)
         return out
@@ -573,26 +489,27 @@ class ShardedFrontier:
     def update_throttle(self, hosts: list[str], latencies: np.ndarray) -> None:
         if not hosts:
             return
-        shard = self.shard_of_hosts(hosts)
+        shard = host_shard(hosts, self.n_shards)
         futs = []
         for s in range(self.n_shards):
             idx = np.nonzero(shard == s)[0]
             if len(idx):
-                futs.append(self.shards[s].update_throttle.remote(
-                    [hosts[i] for i in idx], latencies[idx], epoch=self.epoch))
+                futs.append(self.shards[s].call.remote(
+                    "frontier", "update_throttle", [hosts[i] for i in idx],
+                    latencies[idx], epoch=self._pool.epoch))
         ray.get(futs)
 
     def end_wave_async(self, rows: pa.Table | None, sess_hosts: list[str],
                        sess_tokens: list[int], ckpt_dir: str | None,
                        next_wave_idx: int | None) -> list:
-        """Submit the merged end-of-wave RPC — ONE submission per shard
-        carrying that shard's new rows + session updates + the optional
-        checkpoint/drain requests (round 5: the per-wave serial driver fan
-        was up to 6 RPC-submission loops over the shard pool; it is now one
-        loop with one hash-partition pass). Shards with no payload and no
-        checkpoint/drain request are skipped entirely. Returns futures; a
-        shard's future resolves to its next-wave part (or None when no
-        drain was requested).
+        """Submit the merged end-of-wave RPC (CrawlShard.end_wave) — ONE
+        submission per actor carrying that actor's new rows + session
+        updates + the optional checkpoint/drain requests, in one loop with
+        one hash-partition pass. A checkpoint request goes to EVERY actor of
+        the pool, including those that hold only a URL-seen partition (they
+        get no rows and no drain). Actors with no payload and no request are
+        skipped. Returns futures; a future resolves to the actor's next-wave
+        part, or None when it was not asked to drain.
 
         Errors surface when the futures are read. On a checkpoint wave the
         engine reads them before the commit; otherwise only when the next
@@ -603,10 +520,10 @@ class ShardedFrontier:
         the last committed checkpoint either way."""
         row_shard = None
         if rows is not None and len(rows):
-            row_shard = self.shard_of_hosts(rows["host"].to_pylist())
-        sess_shard = self.shard_of_hosts(sess_hosts) if sess_hosts else None
+            row_shard = host_shard(rows["host"].to_pylist(), self.n_shards)
+        sess_shard = host_shard(sess_hosts, self.n_shards) if sess_hosts else None
         futs = []
-        for s in range(self.n_shards):
+        for s, actor in enumerate(self._pool.actors):
             srows = None
             if row_shard is not None:
                 idx = np.nonzero(row_shard == s)[0]
@@ -618,21 +535,12 @@ class ShardedFrontier:
                 if len(sidx):
                     sh = [sess_hosts[i] for i in sidx]
                     st = [sess_tokens[i] for i in sidx]
-            if (srows is None and sh is None and ckpt_dir is None
-                    and next_wave_idx is None):
+            drain = next_wave_idx if s < self.n_shards else None
+            if srows is None and sh is None and ckpt_dir is None and drain is None:
                 continue
-            futs.append(self.shards[s].end_wave.remote(
-                srows, sh, st, ckpt_dir, next_wave_idx, epoch=self.epoch))
+            futs.append(actor.end_wave.remote(
+                srows, sh, st, ckpt_dir, drain, epoch=self._pool.epoch))
         return futs
-
-    def next_wave_async(self, wave_idx: int) -> list:
-        """Submit every shard's next_wave RPC without waiting. The engine
-        issues these at the END of wave k (after all pushes — per-actor FIFO
-        keeps the shard op order identical to the synchronous path) so the
-        drains overlap the driver's sink/metrics work; merge_wave() finishes
-        the job at the start of wave k+1."""
-        return [s.next_wave.remote(wave_idx, epoch=self.epoch)
-                for s in self.shards]
 
     def merge_wave(self, parts: list[pa.Table]) -> pa.Table:
         t = pa.concat_tables(parts)
@@ -650,27 +558,19 @@ class ShardedFrontier:
         return t
 
     def next_wave(self, wave_idx: int) -> pa.Table:
-        return self.merge_wave(ray.get(self.next_wave_async(wave_idx)))
+        """Drain every shard's politeness-budgeted batch for ``wave_idx``
+        and merge them into the wave. The engine usually gets the drained
+        parts from end_wave_async's prefetch instead and calls merge_wave."""
+        return self.merge_wave(ray.get([
+            s.call.remote("frontier", "next_wave", wave_idx, epoch=self._pool.epoch)
+            for s in self.shards]))
 
     def earliest_ready_wave(self) -> int | None:
-        vals = [v for v in ray.get([s.earliest_ready_wave.remote(epoch=self.epoch)
-                                    for s in self.shards])
-                if v is not None]
+        vals = [v for v in ray.get([
+            s.call.remote("frontier", "earliest_ready_wave", epoch=self._pool.epoch)
+            for s in self.shards]) if v is not None]
         return min(vals) if vals else None
 
     def stats(self) -> list[dict]:
-        return ray.get([s.stats.remote(epoch=self.epoch) for s in self.shards])
-
-    def checkpoint(self, dirpath: str) -> None:
-        ray.get(self.checkpoint_async(dirpath))
-
-    def checkpoint_async(self, dirpath: str) -> list:
-        """Submit-only variant (see ShardedUrlSeen.checkpoint_async)."""
-        return [s.checkpoint.remote(dirpath, epoch=self.epoch)
-                for s in self.shards]
-
-    def restore(self, dirpath: str) -> None:
-        ray.get([s.restore.remote(dirpath) for s in self.shards])
-
-    def reset(self) -> None:
-        ray.get([s.reset.remote() for s in self.shards])
+        return [st["frontier"] for st in
+                ray.get([s.stats.remote(epoch=self._pool.epoch) for s in self.shards])]

@@ -3,8 +3,9 @@
 
 The reference keeps one in-process set of request fingerprints
 ([S:scrapy/dupefilters.py RFPDupeFilter]); that cannot hold 10^10 URLs in one
-heap, so here it is an actor pool sharded by ``url_hash % n_shards``. Each
-shard holds:
+heap, so here it is partitioned by ``url_hash % n_filter_shards``; partition
+*i* lives in CrawlShard actor *i* (state/shard.py), which owns the epoch
+guard, the actor options and the checkpoint fan-out. Each partition holds:
 
 - a **Bloom segment** (state/bloom.py) — the memory-bounded scale path;
 - an **exact set** (hash -> url) — authoritative at test scale, provides the
@@ -12,7 +13,7 @@ shard holds:
   doubles as the Bloom's false-positive backstop while it fits.
 
 ``check_and_add`` is a batched RPC: the candidate anti-join is one message per
-shard per wave, not one per URL. First occurrence within a batch wins (the
+partition per wave, not one per URL. First occurrence within a batch wins (the
 batch arrives in canonical (parent_seq, link_idx) order, so "first" is
 deterministic).
 """
@@ -27,12 +28,11 @@ import pyarrow.parquet as pq
 import ray
 
 from scrapy_ray.state.bloom import BloomFilter
-from scrapy_ray.state.errors import StaleShardError
 
 
 class UrlSeenShard:
-    """One partition of the URL-seen filter. Plain class; wrapped with
-    ``ray.remote`` by ShardedUrlSeen (keeps it unit-testable without Ray)."""
+    """One partition of the URL-seen filter: plain partition state, held by
+    a CrawlShard actor (keeps it unit-testable without Ray)."""
 
     def __init__(self, shard_id: int, capacity: int = 1_000_000, bits_per_key: int = 10,
                  exact: bool = True):
@@ -47,24 +47,12 @@ class UrlSeenShard:
         self._seg_urls: list[np.ndarray] = []
         self.n_seen = 0
         self.n_filtered = 0
-        self.epoch = -1  # stamped by the driver; -1 = fresh/restarted actor
 
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-
-    def _guard(self, epoch: int | None) -> None:
-        if epoch is not None and epoch != self.epoch:
-            raise StaleShardError(
-                f"urlseen shard {self.shard_id}: epoch {self.epoch} != driver {epoch} "
-                "(actor restarted since last stamp)")
-
-    def check_and_add(self, hashes: np.ndarray, urls: list[str] | None,
-                      epoch: int | None = None) -> np.ndarray:
+    def check_and_add(self, hashes: np.ndarray, urls: list[str] | None) -> np.ndarray:
         """Returns a bool mask: True = first sighting (keep). Adds as it goes,
         so duplicates *within* the batch are filtered too. Fully vectorized:
         within-batch dedup via np.unique(first index), cross-batch via
         searchsorted against each sorted segment."""
-        self._guard(epoch)
         n = len(hashes)
         hashes = np.asarray(hashes, dtype=np.uint64)
         if urls is not None and not isinstance(urls, np.ndarray):
@@ -106,9 +94,8 @@ class UrlSeenShard:
         self._segs = [h[o]]
         self._seg_urls = [u[o]]
 
-    def seen_table(self, epoch: int | None = None) -> pa.Table:
+    def seen_table(self) -> pa.Table:
         """(url_hash, url) of everything seen — the golden URL-seen set."""
-        self._guard(epoch)
         if not self.exact:
             raise RuntimeError("exact set disabled on this shard")
         if not self._segs:
@@ -117,8 +104,7 @@ class UrlSeenShard:
         return pa.table({"url_hash": pa.array(np.concatenate(self._segs), type=pa.uint64()),
                          "url": pa.array(np.concatenate(self._seg_urls), type=pa.string())})
 
-    def stats(self, epoch: int | None = None) -> dict:
-        self._guard(epoch)
+    def stats(self) -> dict:
         return {"shard": self.shard_id, "n_seen": self.n_seen, "n_filtered": self.n_filtered,
                 "bloom_fill": self.bloom.fill_ratio()}
 
@@ -135,10 +121,9 @@ class UrlSeenShard:
     # mode (exact=False, the 10^10-URL memory-bounded path) only the Bloom
     # segment + counters are persisted — there is no exact table to write,
     # and restore must NOT resurrect an exact store on such a shard.
-    def checkpoint(self, dirpath: str, epoch: int | None = None) -> None:
+    def checkpoint(self, dirpath: str) -> None:
         import json
 
-        self._guard(epoch)  # a stale shard must never write a checkpoint
         os.makedirs(dirpath, exist_ok=True)
         if self.exact:
             tmp = os.path.join(dirpath, f"urlseen_{self.shard_id}.tmp")
@@ -176,34 +161,13 @@ class UrlSeenShard:
 
 
 class ShardedUrlSeen:
-    """Driver-side client over the shard actor pool."""
+    """Driver-side routing view over the URL-seen partitions of a ShardPool
+    (state/shard.py): actor *i* holds partition ``url_hash % n_shards == i``."""
 
-    def __init__(self, n_shards: int, capacity: int = 1_000_000, bits_per_key: int = 10,
-                 exact: bool = True, scheduling: str | None = None,
-                 resources: dict | None = None):
-        self.n_shards = n_shards
-        self.epoch: int | None = None  # engine stamps via set_epoch()
-        # num_cpus=0: shards are short-burst RPC servers; reserving CPU slots
-        # starves task scheduling at low num_cpus (16 shards x 0.25 deadlocks
-        # a 2-CPU session) — they must always be schedulable.
-        # max_restarts>0 (round 2, VERDICT item 7): a dead shard revives
-        # EMPTY; the driver detects the RayActorError and restores the whole
-        # pool from the last committed checkpoint (pipelines/crawl.py
-        # recover()) so state stays mutually consistent.
-        actor = ray.remote(UrlSeenShard)
-        opts = {"num_cpus": 0, "max_restarts": 4}
-        if scheduling is not None:   # e.g. "SPREAD" across cluster nodes
-            opts["scheduling_strategy"] = scheduling
-        if resources:                # e.g. worker-node-only pinning
-            opts["resources"] = dict(resources)
-        self.shards = [
-            actor.options(**opts).remote(i, capacity, bits_per_key, exact)
-            for i in range(n_shards)
-        ]
-
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
-        ray.get([s.set_epoch.remote(epoch) for s in self.shards])
+    def __init__(self, pool):
+        self._pool = pool
+        self.n_shards = pool.cfg.n_filter_shards
+        self.shards = pool.actors[:self.n_shards]
 
     def check_mask(self, hashes: np.ndarray, urls_arr: pa.Array,
                    dont_filter: np.ndarray | None = None) -> np.ndarray:
@@ -224,9 +188,9 @@ class ShardedUrlSeen:
             idx = np.nonzero(shard_of == s)[0]
             if len(idx) == 0:
                 continue
-            futs.append(self.shards[s].check_and_add.remote(
-                hashes[idx], urls_arr.take(pa.array(idx, type=pa.int64())),
-                epoch=self.epoch))
+            futs.append(self.shards[s].call.remote(
+                "urlseen", "check_and_add", hashes[idx],
+                urls_arr.take(pa.array(idx, type=pa.int64())), epoch=self._pool.epoch))
             idxs.append(idx)
         for idx, res in zip(idxs, ray.get(futs)):
             mask[idx] = res
@@ -250,23 +214,10 @@ class ShardedUrlSeen:
         return links.filter(pa.array(self.check_mask(hashes, urls_arr, dont)))
 
     def seen_table(self) -> pa.Table:
-        return pa.concat_tables(ray.get([s.seen_table.remote(epoch=self.epoch)
-                                         for s in self.shards]))
+        return pa.concat_tables(ray.get([
+            s.call.remote("urlseen", "seen_table", epoch=self._pool.epoch)
+            for s in self.shards]))
 
     def stats(self) -> list[dict]:
-        return ray.get([s.stats.remote(epoch=self.epoch) for s in self.shards])
-
-    def checkpoint(self, dirpath: str) -> None:
-        ray.get(self.checkpoint_async(dirpath))
-
-    def checkpoint_async(self, dirpath: str) -> list:
-        """Submit shard checkpoint RPCs WITHOUT waiting — the engine overlaps
-        the shard writes with driver-side sink work and ray.get()s the
-        futures before the manifest commit (the commit point is unchanged)."""
-        return [s.checkpoint.remote(dirpath, epoch=self.epoch) for s in self.shards]
-
-    def restore(self, dirpath: str) -> None:
-        ray.get([s.restore.remote(dirpath) for s in self.shards])
-
-    def reset(self) -> None:
-        ray.get([s.reset.remote() for s in self.shards])
+        return [st["urlseen"] for st in
+                ray.get([s.stats.remote(epoch=self._pool.epoch) for s in self.shards])]

@@ -61,7 +61,7 @@ def test_session_state_survives_checkpoint(tmp_path):
 
     cfg = CrawlConfig(cookies=True)
     s = FrontierShard(0, cfg)
-    s.update_sessions(["a.example", "b.example"], [11, 22], epoch=None)
+    s.update_sessions(["a.example", "b.example"], [11, 22])
     s.checkpoint(str(tmp_path))
     s2 = FrontierShard(0, cfg)
     s2.restore(str(tmp_path))

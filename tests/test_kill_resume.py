@@ -126,6 +126,30 @@ def test_shard_kill_recovery(ray_session, e2e_corpus, tmp_path):
     assert res.items.sort_by("url").equals(full.items.sort_by("url"))
 
 
+def test_shard_kill_recovery_urlseen_only_actor(ray_session, e2e_corpus, tmp_path):
+    """Second case of test_shard_kill_recovery: with 3 URL-seen and 2
+    frontier partitions, actor 2 holds only a URL-seen partition. Its
+    checkpoint segment rides the end-of-wave RPC like every other actor's;
+    killing it mid-crawl must roll back and replay to the unkilled result."""
+    base = CrawlConfig(n_filter_shards=3, n_frontier_shards=2)
+    full = run_crawl(e2e_corpus, base)
+
+    cfg = CrawlConfig(n_filter_shards=3, n_frontier_shards=2,
+                      checkpoint_dir=str(tmp_path / "ck"), checkpoint_every=1)
+
+    def pick(e):
+        victim = e.shards.actors[2]
+        assert victim in e.urlseen.shards and victim not in e.frontier.shards
+        return [victim]
+
+    k = _Killer(4, pick)
+    res = run_crawl(e2e_corpus, cfg, on_wave=k)
+    assert k.killed, "kill must have happened (crawl long enough)"
+    assert res.crawl_order.to_pydict() == full.crawl_order.to_pydict()
+    assert set(res.url_seen["url"].to_pylist()) == set(full.url_seen["url"].to_pylist())
+    assert res.items.sort_by("url").equals(full.items.sort_by("url"))
+
+
 def test_shard_kill_recovery_no_checkpoint(ray_session, e2e_corpus):
     """Same kill without a checkpoint dir: recovery is a deterministic full
     restart from the seeds (state lives only in the actors)."""
