@@ -8,7 +8,7 @@ Each wave:
    IS the crawl-ordering contract the goldens check [B:north_rule].
 2. ``fetch_parse_wave(plan, wave)`` — partition-pruned join of the wave
    against the Parquet pages corpus, with the downloader middlewares, the
-   fused parse AND the items/links splits running inside the per-bucket
+   fused parse AND the items/links splits running inside the per-chunk
    raw Ray tasks (stages/fetch.py). The crawl-constant ``FetchPlan`` is
    built once per engine; the driver receives one ``FetchResult`` of
    compact tables, never html.

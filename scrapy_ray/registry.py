@@ -18,7 +18,7 @@ Custom page types crawl through the ENGINE via ``@page_handler`` (round 2,
 VERDICT item 2): register a per-page pure function + a URL route pattern,
 and the fused wave parser dispatches matching pages to it — on Ray WORKERS,
 not just the driver (CrawlEngine snapshots the registry at construction and
-ships it into the per-bucket parse tasks via one ``ray.put``). The
+ships it into the per-chunk parse tasks via one ``ray.put``). The
 reference-semantics simulator consults the same registry, so the
 engine≡simulator equality tests extend to custom page types.
 

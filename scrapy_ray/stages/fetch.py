@@ -6,11 +6,11 @@ The reference downloads over HTTP ([S:scrapy/core/downloader/handlers/
 http11.py]); per the north rule, pages come from a Parquet corpus bucketed by
 ``url_hash % n_buckets``, so a wave only reads the bucket files its URLs can
 live in. The per-wave join is a repeated *small indexed lookup*, so it runs
-as raw Ray tasks, one or more per needed bucket: the documented exception
-that drops below Ray Data (SURVEY §7.4.3), because per-wave ``read_parquet``
-Dataset construction costs seconds of fragment sampling where a task costs
-~ms. Whole-corpus scans stay on Ray Data (``sources.readers.read_pages``,
-``stages/features.py``).
+as raw Ray tasks, one per chunk of the wave (a task may span buckets): the
+documented exception that drops below Ray Data (SURVEY §7.4.3), because
+per-wave ``read_parquet`` Dataset construction costs seconds of fragment
+sampling where a task costs ~ms. Whole-corpus scans stay on Ray Data
+(``sources.readers.read_pages``, ``stages/features.py``).
 
 Everything fixed for a crawl (corpus layout, middleware settings, registry
 snapshot, cluster size) is one ``FetchPlan``, put in the object store once;
@@ -349,14 +349,15 @@ class FetchResult(NamedTuple):
 
 
 @ray.remote
-def _fetch_parse(path: str, sub: pa.Table, plan: FetchPlan) -> FetchResult:
-    """Read one corpus bucket with an ``url IN (...)`` parquet filter
-    (row-group pruning — bucket files are written sorted by url and ``sub``
-    is a url-sorted contiguous wave slice, so a chunk touches few row
-    groups), join the frontier carry columns in-task (arrow hash join — the
-    driver ships a zero-copy wave slice, builds no per-url dicts), then run
-    the downloader-middleware splits, the fused parse AND the items/links
-    splits in-task. ``plan`` arrives dereferenced from ``FetchPlan.ref``."""
+def _fetch_parse(sub: pa.Table, plan: FetchPlan) -> FetchResult:
+    """Fetch, parse and split one (bucket, url)-sorted wave slice: read
+    each bucket's contiguous run once with an ``url IN (...)`` parquet
+    filter (row-group pruning — bucket files are written url-sorted; a
+    bucket missing from ``plan.paths`` is a fetch miss), join the frontier
+    carry columns in-task (arrow hash join), then run the
+    downloader-middleware splits, the fused parse AND the items/links
+    splits once over all the slice's pages. ``plan`` arrives dereferenced
+    from ``FetchPlan.ref``."""
     import pyarrow.parquet as pq
 
     from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
@@ -365,7 +366,18 @@ def _fetch_parse(path: str, sub: pa.Table, plan: FetchPlan) -> FetchResult:
     handlers, routes, rules = plan.registry
     # the plan keeps redirect set only for a corpus with a location column
     cols = ["url", "html", "status"] + (["location"] if plan.redirect else [])
-    t = pq.read_table(path, filters=pc.field("url").isin(sub["url"]), columns=cols)
+    buckets = sub["url_hash"].to_numpy(zero_copy_only=False) \
+        % np.uint64(plan.n_buckets)
+    ubs, starts = np.unique(buckets, return_index=True)
+    bounds = np.append(starts, len(sub))
+    reads = [pq.read_table(plan.paths[int(b)], columns=cols,
+                           filters=pc.field("url").isin(
+                               sub["url"].slice(lo, hi - lo)))
+             for b, lo, hi in zip(ubs, bounds[:-1], bounds[1:])
+             if int(b) in plan.paths]
+    if not reads:
+        return FetchResult.empty()
+    t = pa.concat_tables(reads)
     nd = nw = 0
     if plan.maxsize is not None and len(t):
         t, nd, nw = _maxsize_split(t, *plan.maxsize)
@@ -406,18 +418,17 @@ def _fetch_parse(path: str, sub: pa.Table, plan: FetchPlan) -> FetchResult:
 
 
 def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
-    """Fetch, parse and split one wave (FRONTIER rows): one or more
-    ``_fetch_parse`` tasks per bucket the wave's URLs hash to. Misses
-    (dangling links, never-written buckets) produce no row — the
-    reference's 404 path. The caller applies the canonical
+    """Fetch, parse and split one wave (FRONTIER rows): one ``_fetch_parse``
+    task per chunk of the (bucket, url)-sorted wave; a task may span
+    buckets. Misses (dangling links, never-written buckets) produce no row
+    — the reference's 404 path. The caller applies the canonical
     (parent_seq, link_idx) sort to the merged links."""
     hashes = wave["url_hash"].to_numpy(zero_copy_only=False)
     bucket_of = (hashes % np.uint64(plan.n_buckets)).astype(np.int64)
     # Fully columnar dispatch: sort the wave by (bucket, url) ONCE, then
-    # ship zero-copy Arrow slices to the tasks — the driver builds no
-    # per-url python structures. Sorting by url keeps each chunk a
-    # contiguous url range, so the parquet isin filter prunes row groups
-    # tightly (bucket files are written url-sorted).
+    # ship zero-copy Arrow slices — the driver builds no per-url python
+    # structures. A slice covers few buckets, each a contiguous url range,
+    # so the isin filter prunes row groups (bucket files are url-sorted).
     sub_cols = wave.select(["url", "host", "url_hash", "depth",
                             "priority", "seq", "callback", "retries",
                             "redirects"])
@@ -425,29 +436,16 @@ def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
     idx = pc.sort_indices(tmp, sort_keys=[("bucket", "ascending"),
                                           ("url", "ascending")])
     sub_sorted = sub_cols.take(idx)
-    bsorted = bucket_of[idx.to_numpy()]
-    ubs, starts = np.unique(bsorted, return_index=True)
-    bounds = np.append(starts, len(bsorted))
-    # Task granularity (re-tuned round 5): the round-2 fixed 256-row chunk
-    # optimized straggler balance, but per-task overhead (dispatch, arg
-    # serialization, result transfer — and cross-raylet hops on a real
-    # multi-node cluster) now dominates at today's engine speed: measured
-    # same-window, chunk 2048 beats 256 by 10-13% at EVERY level (flat
-    # 2-CPU 9.06->8.01, flat 8-CPU 2.86->2.52, 4-node wide 12.7->11.2,
-    # 1-node wide 36.1->28.3). Adaptive: ~2 task waves per CPU, clamped to
-    # [256, 4096] so tiny waves stay balanced and huge waves stay bounded.
-    chunk = min(4096, max(256, len(wave) // (2 * plan.cpus)))
-    pending = []
-    for k, b in enumerate(ubs):
-        if int(b) not in plan.paths:
-            continue  # bucket never written (empty at ingest) -> fetch miss
-        seg_len = int(bounds[k + 1] - bounds[k])
-        n_parts = max(1, (seg_len + chunk - 1) // chunk)
-        for j in range(n_parts):
-            lo = bounds[k] + j * seg_len // n_parts
-            hi = bounds[k] + (j + 1) * seg_len // n_parts
-            sub = sub_sorted.slice(int(lo), int(hi - lo))
-            pending.append(_fetch_parse.remote(plan.paths[int(b)], sub, plan.ref))
+    # Task granularity (re-tuned round 5: per-task dispatch, argument and
+    # result transfer dominate at engine speed). The chunk alone sets the
+    # task count, so a slice may span buckets: ~2 task waves per CPU,
+    # clamped to [256, 4096] so tiny waves stay balanced and huge waves
+    # stay bounded.
+    n = len(sub_sorted)
+    n_tasks = -(-n // min(4096, max(256, n // (2 * plan.cpus))))
+    cuts = np.arange(n_tasks + 1) * n // max(1, n_tasks)
+    pending = [_fetch_parse.remote(sub_sorted.slice(lo, hi - lo), plan.ref)
+               for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     # consume incrementally: driver-side deserialization overlaps with
     # still-running tasks instead of waiting for the full barrier
     parts: list[FetchResult] = []

@@ -20,7 +20,7 @@ from scrapy_ray.config import CrawlConfig
 
 
 def filter_params(cfg: CrawlConfig) -> tuple:
-    """Picklable M7/M8/M9 parameter pack — lets the per-bucket fetch tasks
+    """Picklable M7/M8/M9 parameter pack — lets the per-chunk fetch tasks
     run the filter in-task (wide-wave scaling: the driver link chain is
     O(links), measured ~1.9 s/run on the 1M-page bench at every CPU level;
     BENCH/BASELINE.md run N). Per-row pure, so task-side pre-sort filtering

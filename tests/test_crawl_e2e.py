@@ -111,6 +111,174 @@ def test_fetch_parse_wave_matches_corpus_read(ray_session, e2e_corpus):
     assert set(res.items["url"].to_pylist()) <= wave_urls
 
 
+# --- fetch task granularity (stages/fetch.py) ------------------------------
+
+@pytest.fixture(scope="module")
+def fetch_wave_corpus(ray_session, tmp_path_factory) -> str:
+    """~2.7k pages over 8 buckets, with 3xx redirects, meta-refresh
+    interstitials and 404/500 pages: an all-pages wave is large enough that
+    the chunk varies with the plan's CPU count."""
+    from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
+
+    root = str(tmp_path_factory.mktemp("fetch_wave") / "corpus")
+    generate_corpus(root, CorpusSpec(n_hosts=10, total_pages=2000, seed=5,
+                                     redirect_frac=0.2, metarefresh_frac=0.2))
+    return root
+
+
+def _all_pages_wave(root: str):
+    """Every page of the corpus plus 40 dangling URLs, in a seeded random
+    order, as one FRONTIER wave."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    from scrapy_ray import schemas
+    from scrapy_ray.functions.hashing import hash64
+    from scrapy_ray.functions.urlnorm import hosts_of
+    from scrapy_ray.stages.extract import classify_callback
+
+    pages = pads.dataset(os.path.join(root, "pages"), format="parquet",
+                         partitioning="hive").to_table(columns=["url"])
+    urls = sorted(pages["url"].to_pylist()) \
+        + [f"https://h{i % 10:03d}.example.com/gone/{i:05d}" for i in range(40)]
+    urls = [urls[i] for i in np.random.default_rng(7).permutation(len(urls))]
+    n = len(urls)
+    i32 = pa.array(np.zeros(n, dtype=np.int32))
+    return pa.table({
+        "url": pa.array(urls, type=pa.string()),
+        "host": pa.array(hosts_of(urls), type=pa.string()),
+        "url_hash": pa.array(hash64(urls), type=pa.uint64()),
+        "depth": pa.array(np.ones(n, dtype=np.int32)),
+        "priority": i32,
+        "seq": pa.array(np.arange(n, dtype=np.int64)),
+        "parent_url": pa.array([""] * n, type=pa.string()),
+        "callback": pa.array(classify_callback(urls), type=pa.string()),
+        "dont_filter": pa.array(np.zeros(n, dtype=bool)),
+        "retries": i32,
+        "redirects": i32,
+    }, schema=schemas.FRONTIER)
+
+
+def _fetch_plan(root: str, cfg: CrawlConfig):
+    from scrapy_ray.stages.fetch import FetchPlan
+    from scrapy_ray.stages.links import filter_params
+
+    return FetchPlan.build(root, cfg, link_filter=filter_params(cfg))
+
+
+def _canonical(res) -> list:
+    """A FetchResult with task boundaries erased: each table's rows sorted,
+    the per-task partial aggregates reduced the way the wave loop reduces
+    them (host_stats summed per host, sessions' max-seq row per host);
+    counts as they are."""
+    import pyarrow as pa
+
+    out = []
+    for name, v in zip(res._fields, res):
+        if not isinstance(v, pa.Table):
+            out.append((name, v))
+            continue
+        rows = v.to_pylist()
+        if name == "host_stats":
+            acc: dict = {}
+            for r in rows:
+                n, b = acc.get(r["host"], (0, 0))
+                acc[r["host"]] = (n + r["n"], b + r["nbytes"])
+            rows = [{"host": h, "n": n, "nbytes": b} for h, (n, b) in acc.items()]
+        elif name == "sessions":
+            last: dict = {}
+            for r in rows:
+                if r["seq"] > last.get(r["host"], {"seq": -1})["seq"]:
+                    last[r["host"]] = r
+            rows = list(last.values())
+        out.append((name, str(v.schema),
+                     sorted(repr(sorted(r.items())) for r in rows)))
+    return out
+
+
+def test_fetch_wave_task_size_invariant(ray_session, fetch_wave_corpus):
+    """With every fetch middleware on (redirects, meta-refresh,
+    maxsize/warnsize, retries, cookies, autothrottle), the merged result of
+    one wave does not depend on how many tasks it is cut into: 1, 3 and 64
+    CPUs give 3, 7 and 11 tasks over 8 buckets."""
+    import dataclasses
+
+    from scrapy_ray.stages.fetch import fetch_parse_wave
+
+    cfg = CrawlConfig(retry_max=2, autothrottle=True, cookies=True,
+                      download_maxsize=1990, download_warnsize=1500)
+    plan = _fetch_plan(fetch_wave_corpus, cfg)
+    wave = _all_pages_wave(fetch_wave_corpus)
+    results = [fetch_parse_wave(dataclasses.replace(plan, cpus=c), wave)
+               for c in (1, 3, 64)]
+    for name, v in zip(results[0]._fields, results[0]):
+        assert (len(v) if hasattr(v, "num_rows") else v) > 0, \
+            f"FetchResult.{name} must be non-empty on this corpus"
+    want = _canonical(results[0])
+    for got in results[1:]:
+        assert _canonical(got) == want
+
+
+def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
+                                             monkeypatch):
+    """One wave on a 1-CPU plan launches ceil(len(wave)/chunk) tasks, fewer
+    than the corpus's 8 buckets: the task slices span buckets."""
+    import dataclasses
+
+    from scrapy_ray.stages import fetch
+
+    plan = dataclasses.replace(_fetch_plan(fetch_wave_corpus, CrawlConfig()),
+                               cpus=1)
+    assert plan.n_buckets >= 8
+    wave = _all_pages_wave(fetch_wave_corpus)
+    launched = []
+    remote = fetch._fetch_parse.remote
+
+    def counting(sub, *args):
+        launched.append(len(sub))
+        return remote(sub, *args)
+
+    monkeypatch.setattr(fetch._fetch_parse, "remote", counting)
+    res = fetch.fetch_parse_wave(plan, wave)
+    chunk = min(4096, max(256, len(wave) // 2))
+    assert len(launched) == -(-len(wave) // chunk) < plan.n_buckets
+    assert sum(launched) == len(wave)
+    assert res.n_fetched > 0
+
+
+def test_fetch_wave_missing_buckets_are_misses(ray_session, fetch_wave_corpus):
+    """Rows hashing to a bucket absent from ``plan.paths`` are fetch misses:
+    n_fetched equals an independent read of the remaining buckets, and a
+    wave that hashes only to missing buckets returns FetchResult.empty()."""
+    import dataclasses
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from scrapy_ray.stages.fetch import FetchResult, fetch_parse_wave
+
+    plan = _fetch_plan(fetch_wave_corpus, CrawlConfig())
+    missing = {1, 5}
+    plan = dataclasses.replace(plan, paths={b: p for b, p in plan.paths.items()
+                                            if b not in missing})
+    wave = _all_pages_wave(fetch_wave_corpus)
+    found = pads.dataset([pads.dataset(p, format="parquet")
+                          for p in plan.paths.values()]) \
+        .to_table(columns=["url"], filter=pc.field("url").isin(wave["url"]))
+    res = fetch_parse_wave(plan, wave)
+    assert res.n_fetched == found.num_rows > 0
+
+    bucket = wave["url_hash"].to_numpy() % np.uint64(plan.n_buckets)
+    only_missing = wave.filter(pa.array(np.isin(bucket, list(missing))))
+    assert len(only_missing) > 0
+    got = fetch_parse_wave(plan, only_missing)
+    for name, g, e in zip(FetchResult._fields, got, FetchResult.empty()):
+        assert (g.equals(e) if isinstance(e, pa.Table) else g == e), name
+
+
 def test_crawl_delay_host_paces_one_per_wave(ray_session, e2e_corpus):
     """h017 has robots 'Crawl-delay: 1' -> it must never emit more than one
     URL per wave, and its emissions must be spaced by >= waves_per_emit."""
