@@ -489,9 +489,11 @@ class CrawlEngine:
         if cfg.autothrottle and len(fetched.host_stats):
             # F4: one deterministic latency sample per host per wave =
             # mean body bytes / virtual bandwidth (config.py)
-            df = fetched.host_stats.to_pandas().groupby("host").sum().reset_index()
-            lat = (df["nbytes"] / df["n"] / cfg.at_bytes_per_sec).to_numpy()
-            self.frontier.update_throttle(df["host"].tolist(), lat)
+            g = (fetched.host_stats.group_by("host")
+                 .aggregate([("n", "sum"), ("nbytes", "sum")]).sort_by("host"))
+            lat = (g["nbytes_sum"].to_numpy() / g["n_sum"].to_numpy()
+                   / cfg.at_bytes_per_sec)
+            self.frontier.update_throttle(g["host"].to_pylist(), lat)
 
         # F6: per-host max-seq winner across this wave's tasks ("last
         # response wins", Scrapy jar order) — the updates ride the merged
@@ -499,11 +501,13 @@ class CrawlEngine:
         sess_hosts: list[str] = []
         sess_tokens: list[int] = []
         if cfg.cookies and len(fetched.sessions):
-            sdf = fetched.sessions.to_pandas()
-            sdf = (sdf.sort_values(["host", "seq"], kind="mergesort")
-                      .groupby("host", as_index=False).last())
-            sess_hosts = sdf["host"].tolist()
-            sess_tokens = [int(t) for t in sdf["token"]]
+            # ordered aggregation (use_threads=False): "last" of the
+            # seq-sorted rows is each host's max-seq token
+            g = (fetched.sessions.sort_by("seq")
+                 .group_by("host", use_threads=False)
+                 .aggregate([("token", "last")]).sort_by("host"))
+            sess_hosts = g["host"].to_pylist()
+            sess_tokens = g["token_last"].to_pylist()
 
         self.pages_fetched += n_fetched
         if self.item_pipelines:

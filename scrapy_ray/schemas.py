@@ -3,6 +3,9 @@
 The reference (Scrapy) is schema-free Python objects ([S:scrapy/item.py]); we
 invert that: every table has an explicit Arrow schema, nothing is inferred.
 ``pages`` is exactly the driver-mandated input shape [B:input_hint].
+
+``to_ipc``/``from_ipc`` are the one wire format for tables that cross the
+engine's Ray boundaries (the fetch task, every CrawlShard RPC).
 """
 
 from __future__ import annotations
@@ -142,3 +145,24 @@ URL_SEEN = pa.schema([("url_hash", pa.uint64()), ("url", pa.string())])
 
 def empty(schema: pa.Schema) -> pa.Table:
     return schema.empty_table()
+
+
+def to_ipc(table: pa.Table) -> pa.Buffer:
+    """``table`` as one Arrow IPC stream buffer: the wire format at the
+    engine's Ray boundaries (the ``_fetch_parse`` task and every CrawlShard
+    RPC). IPC writes only a slice's own rows (a pickled sliced table ships
+    its whole parent buffers, ARROW-10739), and reading it back loads
+    neither ``ray.air`` nor ``ray.data``, which Ray's own ``pa.Table``
+    serializer imports in every receiving process."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue()
+
+
+def from_ipc(x):
+    """Inverse of ``to_ipc``; anything that is not a buffer (a table,
+    None) passes through unchanged."""
+    if isinstance(x, pa.Buffer):
+        return pa.ipc.open_stream(x).read_all()
+    return x

@@ -14,8 +14,12 @@ sampling where a task costs ~ms. Whole-corpus scans stay on Ray Data
 
 Everything fixed for a crawl (corpus layout, middleware settings, registry
 snapshot, cluster size) is one ``FetchPlan``, put in the object store once;
-each task returns one ``FetchResult``. Neither html nor per-page list
-columns ever reach the driver.
+each task returns one ``FetchResult``. The slice argument and the result's
+tables cross the task boundary as Arrow IPC buffers (``schemas.to_ipc`` /
+``from_ipc``): a slice ships only its own rows, and no process loads Ray's
+``pa.Table`` serializer (``ray.air``/``ray.data``). Per-host aggregates are
+Arrow ``group_by``; the fetch path calls no pandas. Neither html nor
+per-page list columns ever reach the driver.
 
 At 100 TB the same shape holds: buckets are directories of row-grouped
 Parquet and the wave's bucket set prunes the read. Nothing here
@@ -192,19 +196,17 @@ def _maxsize_split(t: pa.Table, maxsize: int, warnsize: int) -> tuple:
 
 
 def _host_stats(t: pa.Table) -> pa.Table:
-    """Per-host (responses, body bytes) partial for this task's fetched rows
-    — the deterministic virtual-latency signal for AutoThrottle (F4)."""
-    import pandas as pd
-
+    """Per-host (responses, body bytes) partial for this task's fetched rows,
+    sorted by host — the deterministic virtual-latency signal for
+    AutoThrottle (F4)."""
     from scrapy_ray.functions.urlnorm import hosts_of
 
-    urls = t["url"].to_pylist()
-    sizes = pc.binary_length(t["html"]).to_numpy(zero_copy_only=False)
-    df = pd.DataFrame({"host": hosts_of(urls), "nbytes": sizes.astype(np.int64)})
-    g = df.groupby("host").agg(n=("nbytes", "count"), nbytes=("nbytes", "sum")).reset_index()
-    return pa.table({"host": pa.array(g["host"], type=pa.string()),
-                     "n": pa.array(g["n"].to_numpy(), type=pa.int64()),
-                     "nbytes": pa.array(g["nbytes"].to_numpy(), type=pa.int64())},
+    g = pa.table({
+        "host": pa.array(hosts_of(t["url"].to_pylist()), type=pa.string()),
+        "nbytes": pc.binary_length(t["html"]).cast(pa.int64()),
+    }).group_by("host").aggregate([("nbytes", "count"), ("nbytes", "sum")]) \
+        .sort_by("host")
+    return pa.table([g["host"], g["nbytes_count"], g["nbytes_sum"]],
                     schema=HOST_STATS_SCHEMA)
 
 
@@ -334,6 +336,13 @@ class FetchResult(NamedTuple):
                    schemas.REDIRECT_ROWS.empty_table(), 0, 0, 0,
                    SESSION_SCHEMA.empty_table())
 
+    def to_ipc(self) -> "FetchResult":
+        """This result with every table as an IPC buffer: the task's wire
+        form, which ``merge`` reads."""
+        return self._replace(**{k: schemas.to_ipc(v) for k, v
+                                in self._asdict().items()
+                                if isinstance(v, pa.Table)})
+
     @classmethod
     def merge(cls, parts: list["FetchResult"]) -> "FetchResult":
         """Counts sum; tables concatenate their non-empty parts."""
@@ -341,7 +350,7 @@ class FetchResult(NamedTuple):
         for i, empty in enumerate(cls.empty()):
             col = [p[i] for p in parts]
             if isinstance(empty, pa.Table):
-                tables = [t for t in col if len(t)]
+                tables = [t for t in map(schemas.from_ipc, col) if len(t)]
                 out.append(pa.concat_tables(tables) if tables else empty)
             else:
                 out.append(sum(col))
@@ -349,15 +358,21 @@ class FetchResult(NamedTuple):
 
 
 @ray.remote
-def _fetch_parse(sub: pa.Table, plan: FetchPlan) -> FetchResult:
+def _fetch_parse(sub: pa.Buffer, plan: FetchPlan) -> FetchResult:
+    """The fetch task: one wave slice in, one result out, both with their
+    tables as IPC buffers (``schemas.to_ipc``). ``plan`` arrives
+    dereferenced from ``FetchPlan.ref``."""
+    return _fetch_parse_slice(schemas.from_ipc(sub), plan).to_ipc()
+
+
+def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
     """Fetch, parse and split one (bucket, url)-sorted wave slice: read
     each bucket's contiguous run once with an ``url IN (...)`` parquet
     filter (row-group pruning — bucket files are written url-sorted; a
     bucket missing from ``plan.paths`` is a fetch miss), join the frontier
     carry columns in-task (arrow hash join), then run the
     downloader-middleware splits, the fused parse AND the items/links
-    splits once over all the slice's pages. ``plan`` arrives dereferenced
-    from ``FetchPlan.ref``."""
+    splits once over all the slice's pages."""
     import pyarrow.parquet as pq
 
     from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
@@ -444,7 +459,8 @@ def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
     n = len(sub_sorted)
     n_tasks = -(-n // min(4096, max(256, n // (2 * plan.cpus))))
     cuts = np.arange(n_tasks + 1) * n // max(1, n_tasks)
-    pending = [_fetch_parse.remote(sub_sorted.slice(lo, hi - lo), plan.ref)
+    pending = [_fetch_parse.remote(schemas.to_ipc(sub_sorted.slice(lo, hi - lo)),
+                                   plan.ref)
                for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     # consume incrementally: driver-side deserialization overlaps with
     # still-running tasks instead of waiting for the full barrier

@@ -37,7 +37,6 @@ import ray
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
-from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.state.robots import ALLOW_ALL, RobotsRules, parse_robots
 
 _NEVER = -1 << 30
@@ -50,7 +49,11 @@ def _path_of(url: str) -> str:
 
 
 def host_shard(hosts: list[str], n_shards: int) -> np.ndarray:
-    """Frontier partition of each host: ``hash64(host) % n_shards``."""
+    """Frontier partition of each host: ``hash64(host) % n_shards``.
+    Driver-side only; the import stays local so that a shard process never
+    loads polars."""
+    from scrapy_ray.functions.hashing import hash64
+
     return (hash64(hosts) % np.uint64(n_shards)).astype(np.int64)
 
 
@@ -219,8 +222,8 @@ class FrontierShard:
         is built. The robots gate is a set-membership fast path — rows on
         hosts with no Disallow rules (the overwhelming majority) skip the
         per-path prefix match entirely."""
-        hosts = rows["host"].to_pylist()
         if self.cfg.obey_robots and self._deny_hosts:
+            hosts = rows["host"].to_pylist()
             urls = rows["url"].to_pylist()
             allowed = np.ones(len(rows), dtype=bool)
             deny = self._deny_hosts
@@ -231,27 +234,26 @@ class FrontierShard:
             if n_deny:
                 self.n_robots_denied += n_deny
                 rows = rows.filter(pa.array(allowed))
-                hosts = [h for h, a in zip(hosts, allowed) if a]
         if len(rows) == 0:
             return 0
         self.blocks.append(rows)
-        self._add_runs(len(self.blocks) - 1, hosts)
+        self._add_runs(len(self.blocks) - 1)
         self._queued += len(rows)
         self.n_pushed += len(rows)
         self._maybe_spill()
         return len(rows)
 
-    def _add_runs(self, bid: int, hosts: list[str]) -> None:
-        """Append one sorted run per host for block ``bid`` (``hosts`` = its
-        host column): one factorize + lexsort by (host, -priority, seq), then
-        each host's slice found by searchsorted. Used by push, compaction and
-        restore."""
-        import pandas as pd
-
+    def _add_runs(self, bid: int) -> None:
+        """Append one sorted run per host for block ``bid``: one dictionary
+        encode of its host column (codes in first-appearance order) +
+        lexsort by (host, -priority, seq), then each host's slice found by
+        searchsorted. Used by push, compaction and restore."""
         rows = self.blocks[bid]
         pris = rows["priority"].to_numpy(zero_copy_only=False).astype(np.int64)
         seqs = rows["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-        codes, uniq_hosts = pd.factorize(np.asarray(hosts, dtype=object))
+        enc = rows["host"].combine_chunks().dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False)
+        uniq_hosts = enc.dictionary.to_pylist()
         order = np.lexsort((seqs, -pris, codes))
         bounds = np.append(np.searchsorted(codes[order], np.arange(len(uniq_hosts))),
                            len(order))
@@ -374,7 +376,7 @@ class FrontierShard:
         self.blocks = [live] if len(live) else []
         self.queues = defaultdict(list)
         if len(live):
-            self._add_runs(0, live["host"].to_pylist())
+            self._add_runs(0)
 
     def size(self) -> int:
         return self._queued + sum(self.spilled.values())
@@ -443,7 +445,7 @@ class FrontierShard:
         self.blocks = [t] if len(t) else []
         self._queued = len(t)
         if len(t):
-            self._add_runs(0, t["host"].to_pylist())
+            self._add_runs(0)
         with open(os.path.join(dirpath, f"clock_{self.shard_id}.json")) as fh:
             d = json.load(fh)
         self.last_emit_wave = {k: int(v) for k, v in d["last_emit_wave"].items()}
@@ -475,7 +477,8 @@ class ShardedFrontier:
             idx = np.nonzero(shard == s)[0]
             if len(idx):
                 futs.append(self.shards[s].call.remote(
-                    "frontier", "push", rows.take(pa.array(idx)), epoch=self._pool.epoch))
+                    "frontier", "push", schemas.to_ipc(rows.take(pa.array(idx))),
+                    epoch=self._pool.epoch))
         return sum(ray.get(futs))
 
     def sessions(self) -> dict[str, int]:
@@ -509,7 +512,8 @@ class ShardedFrontier:
         the pool, including those that hold only a URL-seen partition (they
         get no rows and no drain). Actors with no payload and no request are
         skipped. Returns futures; a future resolves to the actor's next-wave
-        part, or None when it was not asked to drain.
+        part (an IPC buffer, see merge_wave), or None when it was not asked
+        to drain.
 
         Errors surface when the futures are read. On a checkpoint wave the
         engine reads them before the commit; otherwise only when the next
@@ -528,7 +532,7 @@ class ShardedFrontier:
             if row_shard is not None:
                 idx = np.nonzero(row_shard == s)[0]
                 if len(idx):
-                    srows = rows.take(pa.array(idx))
+                    srows = schemas.to_ipc(rows.take(pa.array(idx)))
             sh = st = None
             if sess_shard is not None:
                 sidx = np.nonzero(sess_shard == s)[0]
@@ -542,8 +546,10 @@ class ShardedFrontier:
                 srows, sh, st, ckpt_dir, drain, epoch=self._pool.epoch))
         return futs
 
-    def merge_wave(self, parts: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(parts)
+    def merge_wave(self, parts: list) -> pa.Table:
+        """Merge the shards' drained parts (IPC buffers) into the wave:
+        sort by (priority desc, seq asc), then apply max_wave_urls."""
+        t = pa.concat_tables([schemas.from_ipc(p) for p in parts])
         if len(t) == 0:
             return t
         t = t.sort_by([("priority", "descending"), ("seq", "ascending")])

@@ -8,6 +8,11 @@ n_frontier_shards)`` actors. The keys are unchanged by the sharing, so crawl
 order, URL-seen set and checkpoint file names are too. The epoch guard
 (state/errors.py), the checkpoint / restore / reset fan-outs and the actor
 options live here once; ``ShardedUrlSeen`` and ``ShardedFrontier`` only route.
+
+Tables cross the actor boundary as Arrow IPC buffers (``schemas.to_ipc`` /
+``from_ipc``), converted here and in the two views; the partition classes
+take and return ``pa.Table``. A shard process therefore loads neither
+``ray.data`` nor polars (the frontier imports ``hash64`` only driver-side).
 """
 
 from __future__ import annotations
@@ -52,21 +57,25 @@ class CrawlShard:
 
     def call(self, part: str, method: str, *args, epoch: int | None = None):
         """Guarded RPC into one partition: ``part`` is "urlseen" or
-        "frontier", ``method`` one of that partition's methods."""
+        "frontier", ``method`` one of that partition's methods. Table
+        arguments and a table result travel as IPC buffers."""
         self._guard(epoch)
-        return getattr(getattr(self, part), method)(*args)
+        out = getattr(getattr(self, part), method)(*map(schemas.from_ipc, args))
+        return schemas.to_ipc(out) if isinstance(out, pa.Table) else out
 
-    def end_wave(self, rows: pa.Table | None, sess_hosts: list[str] | None,
+    def end_wave(self, rows: pa.Buffer | None, sess_hosts: list[str] | None,
                  sess_tokens: list[int] | None, ckpt_dir: str | None,
                  next_wave_idx: int | None,
-                 epoch: int | None = None) -> pa.Table | None:
+                 epoch: int | None = None) -> pa.Buffer | None:
         """End-of-wave combined op: apply the wave's session updates, enqueue
         its new rows, optionally write BOTH partitions' checkpoint segments,
         and optionally drain the next wave — in that order (sessions → push
         → checkpoint → drain), so the checkpoint captures post-push,
         pre-drain state. The frontier arguments are None on an actor that
-        holds only a URL-seen partition; it still checkpoints."""
+        holds only a URL-seen partition; it still checkpoints. ``rows`` and
+        the drained wave are IPC buffers."""
         self._guard(epoch)
+        rows = schemas.from_ipc(rows)
         if sess_hosts:
             self.frontier.update_sessions(sess_hosts, sess_tokens)
         if rows is not None and len(rows):
@@ -74,7 +83,7 @@ class CrawlShard:
         if ckpt_dir is not None:
             self.checkpoint(ckpt_dir)
         if next_wave_idx is not None:
-            return self.frontier.next_wave(next_wave_idx)
+            return schemas.to_ipc(self.frontier.next_wave(next_wave_idx))
         return None
 
     # --- both partitions ---
@@ -99,9 +108,13 @@ class CrawlShard:
         for part in self._parts():
             part.reset()
 
-    def warm(self, rows: pa.Table, hashes: np.ndarray) -> np.ndarray:
-        """No-op RPC carrying an empty table and hash array: starts the
-        process and primes its Arrow/numpy argument (de)serialization."""
+    def warm(self, rows: pa.Buffer, hashes: np.ndarray) -> np.ndarray:
+        """No-op RPC carrying an empty FRONTIER table (as IPC) and hash
+        array: starts the process and primes its argument deserialization.
+        The ``to_numpy`` makes pyarrow import pandas now (its pandas shim
+        loads it on the first Arrow<->numpy conversion) instead of inside
+        the first timed push."""
+        schemas.from_ipc(rows)["seq"].to_numpy()
         return np.zeros(len(hashes), dtype=bool)
 
 
@@ -165,8 +178,9 @@ class ShardPool:
         ray.get([a.reset.remote() for a in self.actors])
 
     def warm(self) -> None:
-        """Block until every actor process is up and its Arrow/numpy argument
-        (de)serialization is primed (the FIRST RPC carrying a pa.Table costs
-        ~0.4s of one-time serializer setup — measured). Mutates no state."""
-        empty, no_hashes = schemas.FRONTIER.empty_table(), np.empty(0, dtype=np.uint64)
+        """Block until every actor process is up, has deserialized one IPC
+        table and has loaded pandas through pyarrow's shim, so none of
+        that lands in a timed crawl. Mutates no state."""
+        empty = schemas.to_ipc(schemas.FRONTIER.empty_table())
+        no_hashes = np.empty(0, dtype=np.uint64)
         ray.get([a.warm.remote(empty, no_hashes) for a in self.actors])

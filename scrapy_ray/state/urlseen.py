@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from scrapy_ray import schemas
 from scrapy_ray.state.bloom import BloomFilter
 
 
@@ -214,9 +215,9 @@ class ShardedUrlSeen:
         return links.filter(pa.array(self.check_mask(hashes, urls_arr, dont)))
 
     def seen_table(self) -> pa.Table:
-        return pa.concat_tables(ray.get([
+        return pa.concat_tables([schemas.from_ipc(t) for t in ray.get([
             s.call.remote("urlseen", "seen_table", epoch=self._pool.epoch)
-            for s in self.shards]))
+            for s in self.shards])])
 
     def stats(self) -> list[dict]:
         return [st["urlseen"] for st in

@@ -226,6 +226,7 @@ def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
     than the corpus's 8 buckets: the task slices span buckets."""
     import dataclasses
 
+    from scrapy_ray.schemas import from_ipc
     from scrapy_ray.stages import fetch
 
     plan = dataclasses.replace(_fetch_plan(fetch_wave_corpus, CrawlConfig()),
@@ -236,7 +237,7 @@ def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
     remote = fetch._fetch_parse.remote
 
     def counting(sub, *args):
-        launched.append(len(sub))
+        launched.append(from_ipc(sub).num_rows)
         return remote(sub, *args)
 
     monkeypatch.setattr(fetch._fetch_parse, "remote", counting)

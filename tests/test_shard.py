@@ -1,7 +1,8 @@
 """The merged shard actor (state/shard.py): CrawlShard as a plain class (epoch
 guard, reset, checkpoint round-trips for shards that hold only one of the
-two partitions), the fail-fast shard-count check, and the pool layout the
-engine builds."""
+two partitions), the fail-fast shard-count check, the pool layout the
+engine builds, the IPC wire format its RPCs use, and the libraries a shard
+process loads."""
 
 from __future__ import annotations
 
@@ -145,3 +146,71 @@ def test_engine_builds_one_actor_per_partition(ray_session, e2e_corpus,
     finally:
         for a in eng.shards.actors:
             ray.kill(a, no_restart=True)
+
+
+def test_ipc_wire_format_round_trip():
+    """to_ipc/from_ipc keep schema and values (empty FRONTIER tables with and
+    without the cookies column, a multi-chunk table), pass non-buffers
+    through, and ship only a slice's own rows (a pickled slice would carry
+    its parent's buffers, ARROW-10739)."""
+    from scrapy_ray.schemas import from_ipc, to_ipc
+
+    empty = schemas.FRONTIER.empty_table()
+    with_session = empty.append_column("session", pa.array([], type=pa.uint64()))
+    multi = pa.concat_tables([_rows(["a", "b", "a"]), _rows(["c", "a"], seq0=3)])
+    assert multi["url"].num_chunks == 2
+    for t in (empty, with_session, multi):
+        buf = to_ipc(t)
+        assert isinstance(buf, pa.Buffer)
+        back = from_ipc(buf)
+        assert back.schema.equals(t.schema, check_metadata=True)
+        assert back.equals(t)
+    assert from_ipc(None) is None
+    assert from_ipc(multi) is multi
+
+    n = 10_000
+    full = pa.table({"url": [f"https://h{i % 97}.example.com/p{i:06d}" for i in range(n)],
+                     "seq": pa.array(np.arange(n, dtype=np.int64))})
+    part = full.slice(4_000, 100)
+    assert from_ipc(to_ipc(part)).equals(part)
+    assert to_ipc(part).size < 0.05 * to_ipc(full).size
+
+
+def test_crawl_shard_loads_no_unused_libraries(ray_session, e2e_corpus, tmp_path):
+    """After a crawl (cookies and checkpoints on, so every RPC kind ran), no
+    CrawlShard process holds polars, ray.air or ray.data, and none of
+    pandas, polars, ray.air or ray.data was first imported after
+    ``eng.warm()``: warm() is what loads pandas (pyarrow's shim), so that
+    import never lands in a timed crawl."""
+    import ray
+
+    from scrapy_ray.pipelines.crawl import CrawlEngine
+
+    def loaded(_shard) -> list[str]:
+        import sys
+
+        libs = ("pandas", "polars", "ray.air", "ray.data")
+        return sorted(m for m in sys.modules
+                      if any(m == p or m.startswith(p + ".") for p in libs))
+
+    cfg = CrawlConfig(n_filter_shards=2, n_frontier_shards=2, cookies=True,
+                      checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=2)
+    eng = CrawlEngine(e2e_corpus, cfg)
+    try:
+        eng.warm()
+        after_warm = ray.get([a.__ray_call__.remote(loaded) for a in eng.shards.actors])
+        eng.seed()
+        while eng.run_wave():
+            pass
+        res = eng.result()
+        after_crawl = ray.get([a.__ray_call__.remote(loaded) for a in eng.shards.actors])
+    finally:
+        for a in eng.shards.actors:
+            ray.kill(a, no_restart=True)
+    assert len(res.url_seen) > 0 and res.metrics["waves"] > 2
+    for i, (warm, crawl) in enumerate(zip(after_warm, after_crawl)):
+        assert "pandas" in warm, f"shard {i}: warm() did not load pandas"
+        unused = [m for m in crawl if not (m == "pandas" or m.startswith("pandas."))]
+        assert unused == [], f"shard {i} loaded {unused}"
+        late = sorted(set(crawl) - set(warm))
+        assert late == [], f"shard {i} first imported {late} inside the crawl"
