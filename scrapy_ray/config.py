@@ -63,7 +63,10 @@ class CrawlConfig:
     # with a retryable status are re-enqueued with lowered priority up to
     # retry_max times, bypassing the dupefilter (Scrapy copies the request
     # with dont_filter=True). Deterministic contract: a wave's retries are
-    # assigned seqs AFTER that wave's fresh links, ordered by original seq.
+    # assigned seqs AFTER that wave's fresh links and redirect targets,
+    # ordered by original seq. A fetch task emits a retry as a FRONTIER row
+    # with dont_filter set that keeps the original seq; the wave loop sorts
+    # requeued rows by (dont_filter, seq) and numbers them after the links.
     retry_max: int = 0               # RETRY_TIMES (0 = middleware off)
     retry_priority_adjust: int = -1  # RETRY_PRIORITY_ADJUST
     retry_codes: tuple[int, ...] = (500, 502, 503, 504, 408, 429)
@@ -75,7 +78,9 @@ class CrawlConfig:
     # spider-middleware filters (M7/M8/M9 run on callback output, and a
     # downloader-level reschedule never reaches spider middlewares).
     # Deterministic contract: a wave's redirect targets take seqs AFTER the
-    # wave's fresh links and BEFORE its retries, ordered by original seq.
+    # wave's fresh links (in (parent_seq, link_idx) order) and BEFORE its
+    # retries, ordered by original seq; fresh links and targets are
+    # deduplicated in that order, first occurrence wins.
     redirect_max: int = 20           # REDIRECT_MAX_TIMES
     redirect_codes: tuple[int, ...] = (301, 302, 303, 307, 308)
 
@@ -110,7 +115,7 @@ class CrawlConfig:
     # the parse callback as if OK (items + links extracted). Must be
     # disjoint from retry_codes/redirect_codes while those middlewares are
     # on — downloader middlewares act first in the reference, so an
-    # overlapping code would be double-handled; run_crawl raises instead.
+    # overlapping code would be double-handled; __post_init__ raises instead.
     handle_httpstatus_list: tuple[int, ...] = ()
 
     # DeltaFetch ([S:scrapy-plugins/scrapy-deltafetch]): incremental
@@ -177,6 +182,35 @@ class CrawlConfig:
                                      # actors off the 0-CPU head node in the
                                      # multi-node bench so every shard RPC
                                      # genuinely crosses a node boundary
+
+    def __post_init__(self) -> None:
+        """Reject settings the engine cannot honour, naming them, before
+        any actor or task starts."""
+        for name in ("n_filter_shards", "n_frontier_shards"):
+            # below 1, URL-seen would mark every URL seen and the frontier
+            # would drop every push
+            if getattr(self, name) < 1:
+                raise ValueError(f"CrawlConfig.{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        if self.handle_httpstatus_list:
+            clash = set(self.handle_httpstatus_list) & (
+                (set(self.retry_codes) if self.retry_max else set())
+                | (set(self.redirect_codes) if self.redirect_max else set()))
+            if clash:
+                raise ValueError(
+                    f"handle_httpstatus_list overlaps active retry/redirect "
+                    f"codes {sorted(clash)} — downloader middlewares act first "
+                    f"([S:httperror.py]); disable them for these codes instead")
+        if self.retry_max and self.redirect_max:
+            rr_clash = set(self.retry_codes) & set(self.redirect_codes)
+            if rr_clash:
+                # a row matching both diversions would be double-subtracted
+                # from the per-task error count (stages/fetch.py n_err),
+                # corrupting CLOSESPIDER_ERRORCOUNT accounting
+                raise ValueError(
+                    f"retry_codes and redirect_codes overlap on {sorted(rr_clash)}"
+                    f" — a status can divert to only one middleware; make the "
+                    f"code sets disjoint")
 
     def delay_jitter(self, host: str, last_wave: int) -> float:
         """RANDOMIZE_DOWNLOAD_DELAY parity ([S:scrapy/core/downloader

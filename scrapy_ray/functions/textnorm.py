@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 _WS = re.compile(r"\s+")
 _PRICE_NUM = re.compile(r"(\d{1,3}(?:[,.]\d{3})*(?:\.\d+)?|\d+(?:\.\d+)?)")
 _RATING = re.compile(r"(\d+(?:\.\d+)?)")
@@ -46,11 +44,3 @@ def parse_rating(s: str | None) -> float:
         return float("nan")
     m = _RATING.search(s)
     return float(m.group(1)) if m is not None else float("nan")
-
-
-def parse_prices(values: list[str | None]) -> np.ndarray:
-    return np.array([parse_price(v) for v in values], dtype=np.float64)
-
-
-def parse_ratings(values: list[str | None]) -> np.ndarray:
-    return np.array([parse_rating(v) for v in values], dtype=np.float64)

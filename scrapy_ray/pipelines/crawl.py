@@ -14,11 +14,14 @@ Each wave:
    compact tables, never html.
 3. items: optional item-pipeline chain -> per-wave partitioned Parquet sink
    (resumable layout — one directory per wave).
-4. links: canonical (parent_seq, link_idx) sort -> optional link-middleware
-   chain -> vectorized M7/M8/M9 filters -> batched anti-join against the
-   URL-seen partitions (url_hash routing) -> seq assignment -> ONE
-   ``end_wave`` RPC per shard actor: push to the frontier partitions
-   (hash(host) routing) and drain the next wave.
+4. candidates, all FRONTIER rows: the links in canonical (parent_seq,
+   link_idx) order after the optional link-middleware chain and the
+   vectorized M7/M8/M9 filters, then the fetch tasks' ``requeue`` rows
+   (redirect targets, then retries, each by original seq) -> ``_schedule``:
+   one batched anti-join against the URL-seen partitions (url_hash
+   routing; retries skip it) and consecutive seqs -> ONE ``end_wave`` RPC
+   per shard actor: session and AutoThrottle updates, push to the frontier
+   partitions (hash(host) routing) and drain the next wave.
 5. every ``checkpoint_every`` waves: that same ``end_wave`` RPC has each
    shard actor checkpoint both of its partitions (queue / clocks, exact
    set / Bloom segment) atomically, and the driver writes a manifest with
@@ -40,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -65,7 +67,9 @@ class CrawlResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _links_to_frontier(links: pa.Table, next_seq: int) -> pa.Table:
+def _links_to_frontier(links: pa.Table) -> pa.Table:
+    """LINKS -> FRONTIER candidates; seq holds the parent's seq until the
+    wave loop numbers the survivors (CrawlEngine._schedule)."""
     n = len(links)
     return pa.table(
         {
@@ -74,57 +78,11 @@ def _links_to_frontier(links: pa.Table, next_seq: int) -> pa.Table:
             "url_hash": links["url_hash"],
             "depth": links["depth"],
             "priority": links["priority"],
-            "seq": pa.array(np.arange(next_seq, next_seq + n, dtype=np.int64)),
+            "seq": links["parent_seq"],
             "parent_url": links["parent_url"],
             "callback": links["callback"],
             "dont_filter": pa.array(np.zeros(n, dtype=bool)),
             "retries": pa.array(np.zeros(n, dtype=np.int32)),
-            "redirects": pa.array(np.zeros(n, dtype=np.int32)),
-        },
-        schema=schemas.FRONTIER,
-    )
-
-
-def _redirects_to_frontier(rd: pa.Table, next_seq: int) -> pa.Table:
-    """REDIRECT_ROWS (original-seq sorted, already deduped by the caller)
-    -> frontier rows at the TARGET url: same depth/priority (Scrapy copies
-    the request), hop count carried, normal dupefilter semantics
-    ([S:redirect.py])."""
-    n = len(rd)
-    return pa.table(
-        {
-            "url": rd["url"],
-            "host": rd["host"],
-            "url_hash": rd["url_hash"],
-            "depth": rd["depth"],
-            "priority": rd["priority"],
-            "seq": pa.array(np.arange(next_seq, next_seq + n, dtype=np.int64)),
-            "parent_url": pa.array([""] * n, type=pa.string()),
-            "callback": rd["callback"],
-            "dont_filter": pa.array(np.zeros(n, dtype=bool)),
-            "retries": pa.array(np.zeros(n, dtype=np.int32)),
-            "redirects": rd["redirects"],
-        },
-        schema=schemas.FRONTIER,
-    )
-
-
-def _retries_to_frontier(rr: pa.Table, next_seq: int, adjust: int) -> pa.Table:
-    """RETRY_ROWS (original-seq sorted) -> frontier rows: lowered priority,
-    incremented attempt count, dupefilter bypassed ([S:retry.py])."""
-    n = len(rr)
-    return pa.table(
-        {
-            "url": rr["url"],
-            "host": rr["host"],
-            "url_hash": rr["url_hash"],
-            "depth": rr["depth"],
-            "priority": pc.add(rr["priority"], pa.scalar(adjust, pa.int32())),
-            "seq": pa.array(np.arange(next_seq, next_seq + n, dtype=np.int64)),
-            "parent_url": pa.array([""] * n, type=pa.string()),
-            "callback": rr["callback"],
-            "dont_filter": pa.array(np.ones(n, dtype=bool)),
-            "retries": pc.add(rr["retries"], pa.scalar(1, pa.int32())),
             "redirects": pa.array(np.zeros(n, dtype=np.int32)),
         },
         schema=schemas.FRONTIER,
@@ -215,11 +173,10 @@ class CrawlEngine:
         self._sink_pool = None        # lazy single writer thread (_sink)
         self._seeds: list[dict] | None = None
         self.session_log: list[tuple[int, int]] = []   # F6: (seq, token)
-        # (wave_idx, [per-shard next_wave futures]) issued at the END of the
+        # (wave_idx, [per-shard end_wave futures]) submitted at the END of the
         # previous wave so shard drains overlap driver sink/metrics work —
         # the round-4 attack on the per-wave serial floor (VERDICT item 2)
-        # (wave_idx, futures-or-parts, materialized) — see run_wave overlap
-        self._prefetch: tuple[int, list, bool] | None = None
+        self._prefetch: tuple[int, list] | None = None
         from collections import defaultdict as _dd
 
         self.phase_times: dict[str, float] = _dd(float)  # driver-side wave phases
@@ -250,12 +207,11 @@ class CrawlEngine:
         os.makedirs(vdir, exist_ok=True)
         self._commit_checkpoint(vdir, self.shards.checkpoint_async(vdir))
 
-    def _commit_checkpoint(self, vdir: str, shard_futs: list) -> list:
+    def _commit_checkpoint(self, vdir: str, shard_futs: list) -> None:
         """Make v=<wave_idx> the committed checkpoint once every sink file
-        and every shard segment in ``shard_futs`` is durable; returns the
-        futures' results."""
+        and every shard segment in ``shard_futs`` is durable."""
         self._drain_sinks()   # every lineage-referenced sink file durable
-        shard_res = ray.get(shard_futs)   # every shard segment durable
+        ray.get(shard_futs)   # every shard segment durable
         stmp = os.path.join(vdir, "state.json.tmp")
         with open(stmp, "w") as fh:
             json.dump({"wave_idx": self.wave_idx, "next_seq": self.next_seq,
@@ -278,7 +234,6 @@ class CrawlEngine:
         for d in os.listdir(self.ckpt):
             if d.startswith("v=") and d != f"v={self.wave_idx}":
                 shutil.rmtree(os.path.join(self.ckpt, d), ignore_errors=True)
-        return shard_res
 
     def try_resume(self) -> bool:
         """Reload shard state from the manifest-referenced checkpoint
@@ -391,10 +346,29 @@ class CrawlEngine:
                     "url_hash": pa.array(hash64(prev), type=pa.uint64()),
                 }))
         cand = seeds_to_links(seeds if seeds is not None else read_seeds(self.root))
-        fresh = self.urlseen.filter_new(cand)
-        rows = _links_to_frontier(fresh, self.next_seq)
-        self.next_seq += len(rows)
-        self.frontier.push(rows)
+        self.frontier.push(self._schedule(_links_to_frontier(cand)))
+
+    def _schedule(self, cand: pa.Table) -> pa.Table:
+        """The one place candidates are deduplicated and numbered: FRONTIER
+        ``cand`` rows, in schedule order, minus those the URL-seen set
+        already holds, with consecutive seqs from ``next_seq``. Rows with
+        ``dont_filter`` set (retries, [S:retry.py]) skip the URL-seen RPC;
+        the others go out in ONE ``check_mask`` fan, where the first
+        occurrence in ``cand`` order wins."""
+        dont = cand["dont_filter"].to_numpy(zero_copy_only=False)
+        keep = dont.copy()
+        check = cand.filter(pa.array(~dont)) if dont.any() else cand
+        if len(check):
+            keep[~dont] = self.urlseen.check_mask(
+                check["url_hash"].to_numpy(zero_copy_only=False),
+                check["url"].combine_chunks())
+        rows = cand.filter(pa.array(keep))
+        n = len(rows)
+        rows = rows.set_column(
+            rows.schema.get_field_index("seq"), schemas.FRONTIER.field("seq"),
+            pa.array(np.arange(self.next_seq, self.next_seq + n, dtype=np.int64)))
+        self.next_seq += n
+        return rows
 
     def _sink(self, wave: int, items: pa.Table, order: pa.Table) -> dict:
         entry = {"wave": wave, "n_scheduled": len(order), "n_items": len(items)}
@@ -441,16 +415,14 @@ class CrawlEngine:
             return False
         _t0 = _time.perf_counter()
         if self._prefetch is not None:
-            pf_idx, pf, materialized = self._prefetch
+            pf_idx, pf = self._prefetch
             self._prefetch = None
             if pf_idx != self.wave_idx:  # cannot happen by construction:
                 # a drained-but-unconsumed wave would lose rows silently
                 raise RuntimeError(f"stale wave prefetch {pf_idx} != "
                                    f"{self.wave_idx}")
-            # materialized=True on checkpoint waves: the end_wave futures
-            # were already collected before the manifest commit
-            parts = pf if materialized else ray.get(pf)
-            wave = self.frontier.merge_wave([p for p in parts if p is not None])
+            wave = self.frontier.merge_wave(
+                [p for p in ray.get(pf) if p is not None])
         else:
             wave = self.frontier.next_wave(self.wave_idx)
         self.phase_times["next_wave"] += _time.perf_counter() - _t0
@@ -486,18 +458,18 @@ class CrawlEngine:
         self._last_fetch_s = _time.perf_counter() - _t0
         self.phase_times["fetch_parse"] += self._last_fetch_s
 
+        # F4: one deterministic latency sample per host per wave = mean
+        # body bytes / virtual bandwidth (config.py). F6: per-host max-seq
+        # winner across this wave's tasks ("last response wins", Scrapy jar
+        # order). Both ride the end-of-wave shard RPC below.
+        at_hosts: list[str] = []
+        at_lat: list[float] = []
         if cfg.autothrottle and len(fetched.host_stats):
-            # F4: one deterministic latency sample per host per wave =
-            # mean body bytes / virtual bandwidth (config.py)
             g = (fetched.host_stats.group_by("host")
                  .aggregate([("n", "sum"), ("nbytes", "sum")]).sort_by("host"))
-            lat = (g["nbytes_sum"].to_numpy() / g["n_sum"].to_numpy()
-                   / cfg.at_bytes_per_sec)
-            self.frontier.update_throttle(g["host"].to_pylist(), lat)
-
-        # F6: per-host max-seq winner across this wave's tasks ("last
-        # response wins", Scrapy jar order) — the updates ride the merged
-        # end-of-wave shard RPC below, routed to the owning shards there
+            at_hosts = g["host"].to_pylist()
+            at_lat = (g["nbytes_sum"].to_numpy() / g["n_sum"].to_numpy()
+                      / cfg.at_bytes_per_sec).tolist()
         sess_hosts: list[str] = []
         sess_tokens: list[int] = []
         if cfg.cookies and len(fetched.sessions):
@@ -516,6 +488,12 @@ class CrawlEngine:
             items = apply_chain(self.item_pipelines, items)
         self.items_count += len(items)
 
+        # Candidates in the deterministic contract order (config.py): fresh
+        # links in (parent_seq, link_idx) order, then the requeued requests
+        # sorted by (dont_filter, original seq), i.e. redirect targets, then
+        # retries. Redirect targets pass the dupefilter but skip the
+        # spider-middleware filters; retries skip both.
+        cand = []
         if len(links):
             _t0 = _time.perf_counter()
             links = links.sort_by([("parent_seq", "ascending"), ("link_idx", "ascending")])
@@ -526,78 +504,24 @@ class CrawlEngine:
                 links = filter_links(links, cfg)                 # M7/M8/M9
             # else: the filter already ran inside the fetch tasks
             # (FetchPlan.link_filter)
+            cand.append(_links_to_frontier(links))
             self.phase_times["link_filter"] += _time.perf_counter() - _t0
-        rd = None
-        if cfg.redirect_max and len(fetched.redirects):
-            # deterministic contract (config.py): redirect targets take seqs
-            # AFTER this wave's fresh links and BEFORE its retries, ordered
-            # by the ORIGINAL request seq; they pass the dupefilter like any
-            # scheduled request but skip the spider-middleware filters
-            rd = fetched.redirects.sort_by([("seq", "ascending")])
-            rd = rd.append_column("dont_filter",
-                                  pa.array(np.zeros(len(rd), dtype=bool)))
-
-        # F1 anti-join, ONE combined round-trip (round 5, VERDICT r4
-        # item 3): fresh links and redirect targets concat into a single
-        # check_mask fan — first occurrence in the concat wins inside each
-        # shard batch, byte-identical to the former links-then-redirects
-        # sequential filter_new calls, at half the blocking RPC latency.
-        # Retries bypass the dupefilter (dont_filter) and never enter.
-        n_links, n_rd = len(links), (len(rd) if rd is not None else 0)
-        fresh = fresh_rd = None
-        if n_links or n_rd:
-            _t0 = _time.perf_counter()
-            parts_h, parts_u, parts_d = [], [], []
-            for t in ((links,) if n_links else ()) + ((rd,) if n_rd else ()):
-                parts_h.append(t["url_hash"].to_numpy(zero_copy_only=False))
-                u = t["url"]
-                parts_u.append(u.combine_chunks()
-                               if isinstance(u, pa.ChunkedArray) else u)
-                parts_d.append(np.asarray(t["dont_filter"].to_pylist(),
-                                          dtype=bool)
-                               if "dont_filter" in t.column_names
-                               else np.zeros(len(t), dtype=bool))
-            mask = self.urlseen.check_mask(np.concatenate(parts_h),
-                                           pa.concat_arrays(parts_u),
-                                           np.concatenate(parts_d))
-            if n_links:
-                fresh = links.filter(pa.array(mask[:n_links]))
-            if n_rd:
-                fresh_rd = rd.filter(pa.array(mask[n_links:]))
-            self.phase_times["urlseen"] += _time.perf_counter() - _t0
-
-        # seq assignment in the deterministic contract order: fresh links,
-        # then redirect targets, then retries ([S:retry.py] semantics:
-        # re-scheduled with dont_filter=True and lowered priority)
+        if len(fetched.requeue):
+            cand.append(fetched.requeue.sort_by([("dont_filter", "ascending"),
+                                                 ("seq", "ascending")]))
         _t0 = _time.perf_counter()
-        new_rows: list[pa.Table] = []
-        n_new = 0
-        if fresh is not None and len(fresh):
-            rows = _links_to_frontier(fresh, self.next_seq)
-            self.next_seq += len(rows)
-            new_rows.append(rows)
-            n_new += len(rows)
-        if fresh_rd is not None and len(fresh_rd):
-            rrows = _redirects_to_frontier(fresh_rd, self.next_seq)
-            self.next_seq += len(rrows)
-            new_rows.append(rrows)
-            n_new += len(rrows)
-        if cfg.retry_max and len(fetched.retries):
-            rr = fetched.retries.sort_by([("seq", "ascending")])
-            rrows = _retries_to_frontier(rr, self.next_seq, cfg.retry_priority_adjust)
-            self.next_seq += len(rrows)
-            new_rows.append(rrows)
-            n_new += len(rrows)
-        all_rows = pa.concat_tables(new_rows) if new_rows else None
-        self.phase_times["frontier_push"] += _time.perf_counter() - _t0
+        all_rows = (self._schedule(pa.concat_tables(cand)) if cand
+                    else schemas.FRONTIER.empty_table())
+        self.phase_times["urlseen"] += _time.perf_counter() - _t0
+        n_new = len(all_rows)
 
         # --- end-of-wave overlap: advance the wave index, then submit ONE
         # end_wave RPC per shard actor carrying its slice of the new rows +
-        # session updates + the optional checkpoint request (both
-        # partitions' segments) + the next wave's drain request, applied
-        # shard-side in the order sessions → push → checkpoint → drain (the
-        # checkpoint captures pre-drain state). The driver then does its
-        # sink/metrics work while the shards process.
+        # session and throttle updates + the optional checkpoint request
+        # (both partitions' segments) + the next wave's drain request,
+        # applied shard-side in the order sessions → throttle → push →
+        # checkpoint → drain (the checkpoint captures pre-drain state). The
+        # driver then does its sink/metrics work while the shards process.
         done_idx = self.wave_idx
         self.wave_idx += 1
         do_ckpt = bool(self.ckpt and
@@ -610,7 +534,7 @@ class CrawlEngine:
         _t0 = _time.perf_counter()
         ew_futs = self.frontier.end_wave_async(
             all_rows, sess_hosts, sess_tokens, vdir,
-            self.wave_idx if want_next else None)
+            self.wave_idx if want_next else None, at_hosts, at_lat)
         self.phase_times["frontier_push"] += _time.perf_counter() - _t0
         _t0 = _time.perf_counter()
         entry = self._sink(done_idx, items, order)
@@ -629,16 +553,12 @@ class CrawlEngine:
                  "wave_pages": [n_fetched]})
         if do_ckpt:
             # push + checkpoint segments (+ drain) complete on every shard
-            # actor before the manifest commit; the drained parts become the
-            # prefetch
+            # actor before the manifest commit
             _t0 = _time.perf_counter()
-            parts = [p for p in self._commit_checkpoint(vdir, ew_futs)
-                     if p is not None]
+            self._commit_checkpoint(vdir, ew_futs)
             self.phase_times["checkpoint"] += _time.perf_counter() - _t0
-            if want_next:
-                self._prefetch = (self.wave_idx, parts, True)
-        elif want_next:
-            self._prefetch = (self.wave_idx, ew_futs, False)
+        if want_next:
+            self._prefetch = (self.wave_idx, ew_futs)
         elif ew_futs:
             _t0 = _time.perf_counter()
             ray.get(ew_futs)   # surface any shard error before the loop exits
@@ -713,25 +633,6 @@ def run_crawl(corpus_root: str, cfg: CrawlConfig | None = None,
     import ray.exceptions
 
     cfg = cfg or CrawlConfig()
-    if cfg.handle_httpstatus_list:
-        clash = set(cfg.handle_httpstatus_list) & (
-            (set(cfg.retry_codes) if cfg.retry_max else set())
-            | (set(cfg.redirect_codes) if cfg.redirect_max else set()))
-        if clash:
-            raise ValueError(
-                f"handle_httpstatus_list overlaps active retry/redirect "
-                f"codes {sorted(clash)} — downloader middlewares act first "
-                f"([S:httperror.py]); disable them for these codes instead")
-    if cfg.retry_max and cfg.redirect_max:
-        rr_clash = set(cfg.retry_codes) & set(cfg.redirect_codes)
-        if rr_clash:
-            # a row matching both diversions would be double-subtracted from
-            # the per-task error count (stages/fetch.py n_err), corrupting
-            # CLOSESPIDER_ERRORCOUNT accounting — reject the config upfront
-            raise ValueError(
-                f"retry_codes and redirect_codes overlap on {sorted(rr_clash)}"
-                f" — a status can divert to only one middleware; make the "
-                f"code sets disjoint")
     eng = CrawlEngine(corpus_root, cfg, **engine_kwargs)
     if not (resume and eng.try_resume()):
         eng.seed(seeds)

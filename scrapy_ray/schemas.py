@@ -38,6 +38,9 @@ PAGES_FULL = pa.schema(
 
 # One row of the frontier = one Scrapy Request ([S:scrapy/http/request]).
 # ``callback`` is a named parse-stage tag, not a function pointer (SURVEY §1.1).
+# A fetch task requeues a request (retry, redirect, meta refresh) as a row of
+# this schema too, the way Scrapy's middlewares hand the scheduler a copy of
+# the Request (stages/fetch.py).
 FRONTIER = pa.schema(
     [
         ("url", pa.string()),
@@ -51,39 +54,6 @@ FRONTIER = pa.schema(
         ("dont_filter", pa.bool_()),
         ("retries", pa.int32()),    # retry middleware attempt count
         ("redirects", pa.int32()),  # redirect middleware hop count
-    ]
-)
-
-# Retryable fetch outcomes re-enqueued by the engine (retry middleware,
-# [S:scrapy/downloadermiddlewares/retry.py]); subset of wave columns.
-RETRY_ROWS = pa.schema(
-    [
-        ("url", pa.string()),
-        ("host", pa.string()),
-        ("url_hash", pa.uint64()),
-        ("depth", pa.int32()),
-        ("priority", pa.int32()),
-        ("seq", pa.int64()),        # ORIGINAL seq: canonical retry order
-        ("callback", pa.string()),
-        ("retries", pa.int32()),
-    ]
-)
-
-# 3xx fetch outcomes re-enqueued at their Location target (redirect
-# middleware, [S:scrapy/downloadermiddlewares/redirect.py]): url columns
-# describe the TARGET (already urljoined + canonicalized + hashed in-task);
-# seq is the ORIGINAL request's seq = canonical redirect order; depth and
-# priority carry over unchanged (Scrapy copies the request).
-REDIRECT_ROWS = pa.schema(
-    [
-        ("url", pa.string()),
-        ("host", pa.string()),
-        ("url_hash", pa.uint64()),
-        ("depth", pa.int32()),
-        ("priority", pa.int32()),
-        ("seq", pa.int64()),
-        ("callback", pa.string()),
-        ("redirects", pa.int32()),  # hops taken INCLUDING this one
     ]
 )
 
@@ -141,10 +111,6 @@ LINKS = pa.schema(
 CRAWL_ORDER = pa.schema([("seq", pa.int64()), ("wave", pa.int32()), ("url", pa.string())])
 
 URL_SEEN = pa.schema([("url_hash", pa.uint64()), ("url", pa.string())])
-
-
-def empty(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
 
 
 def to_ipc(table: pa.Table) -> pa.Buffer:

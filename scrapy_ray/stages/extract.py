@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 from scrapy_ray import schemas
@@ -113,12 +112,3 @@ def extract_listing_cards_batch(t: pa.Table) -> pa.Table:
             cols["rating"].append(parse_rating(c["rating"]))
             cols["price"].append(c["price"])
     return pa.table(cols, schema=schemas.LISTING_ITEMS)
-
-
-def status_ok_mask(t: pa.Table) -> np.ndarray:
-    """HTTP-error filter (M10 [S:scrapy/spidermiddlewares/httperror.py]):
-    only 2xx reach the spider callbacks."""
-    if "status" not in t.column_names:
-        return np.ones(len(t), dtype=bool)
-    s = t["status"].to_numpy(zero_copy_only=False)
-    return (s >= 200) & (s < 300)

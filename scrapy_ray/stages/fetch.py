@@ -21,6 +21,11 @@ tables cross the task boundary as Arrow IPC buffers (``schemas.to_ipc`` /
 Arrow ``group_by``; the fetch path calls no pandas. Neither html nor
 per-page list columns ever reach the driver.
 
+The downloader middlewares (retry, redirect, meta refresh) send a request
+back as a FRONTIER row that keeps the original request's seq
+(``_requeue_rows``): the same format the frontier stores, so the wave loop
+deduplicates and numbers these rows in one pass with the parsed links.
+
 At 100 TB the same shape holds: buckets are directories of row-grouped
 Parquet and the wave's bucket set prunes the read. Nothing here
 materializes the corpus.
@@ -75,29 +80,65 @@ def _session_updates(t: pa.Table) -> pa.Table:
                     schema=SESSION_SCHEMA)
 
 
-def _retry_rows(t: pa.Table, retry_codes: tuple, retry_max: int) -> pa.Table:
+_REQUEUE_RESET = {"parent_url": "", "dont_filter": False, "retries": 0,
+                  "redirects": 0}
+
+
+def _requeue_rows(hit: pa.Table, **cols) -> pa.Table:
+    """FRONTIER rows that requeue the fetched requests ``hit``: a copy of
+    each request, as Scrapy's downloader middlewares hand the scheduler a
+    copy of the Request. ``cols`` holds the columns the middleware changes.
+    url, host, url_hash, depth, priority, callback and seq copy the original
+    (seq stays the ORIGINAL request's seq: the wave loop orders requeued
+    rows by it and then numbers them); parent_url, dont_filter, retries and
+    redirects start at "", False and 0."""
+    for f in schemas.FRONTIER:
+        if f.name not in cols:
+            cols[f.name] = (pa.repeat(pa.scalar(_REQUEUE_RESET[f.name], f.type),
+                                      len(hit))
+                            if f.name in _REQUEUE_RESET else hit[f.name])
+    return pa.table(cols, schema=schemas.FRONTIER)
+
+
+def _retry_rows(t: pa.Table, retry_codes: tuple, retry_max: int,
+                priority_adjust: int) -> pa.Table:
     """Fetched rows whose status is retryable and attempt budget remains ->
-    RETRY_ROWS ([S:scrapy/downloadermiddlewares/retry.py]). Runs in-task on
-    the joined (page x wave) table."""
+    requeue rows with the priority adjusted, the attempt count + 1 and the
+    dupefilter bypassed ([S:scrapy/downloadermiddlewares/retry.py]). Runs
+    in-task on the joined (page x wave) table."""
     m = pc.and_(pc.is_in(t["status"], value_set=pa.array(list(retry_codes),
                                                          type=t["status"].type)),
                 pc.less(t["retries"], retry_max))
     hit = t.filter(m)
-    return pa.table({k: hit[k] for k in schemas.RETRY_ROWS.names},
-                    schema=schemas.RETRY_ROWS)
+    return _requeue_rows(
+        hit, priority=pc.add(hit["priority"], pa.scalar(priority_adjust, pa.int32())),
+        dont_filter=pa.repeat(pa.scalar(True), len(hit)),
+        retries=pc.add(hit["retries"], pa.scalar(1, pa.int32())))
 
 
-def _redirect_rows(t: pa.Table, redirect_codes: tuple, redirect_max: int) -> pa.Table:
-    """3xx rows with a Location and hop budget left -> REDIRECT_ROWS at the
-    TARGET url ([S:scrapy/downloadermiddlewares/redirect.py]): urljoin +
-    canonicalize + hash happen here in-task, so the driver receives
-    ready-to-dedup frontier candidates. Runs on the joined (page x wave)
-    table; a corpus without a location column never redirects."""
+def _redirect_target_rows(hit: pa.Table, targets: list[str]) -> pa.Table:
+    """Requeue rows at the TARGET urls of the redirected rows ``hit``
+    ([S:scrapy/downloadermiddlewares/redirect.py]): canonicalized and hashed
+    here in-task, callback cleared, hop count + 1; depth, priority and the
+    original seq carry over (Scrapy copies the request)."""
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 
+    targets = canonicalize_urls(targets)
+    return _requeue_rows(
+        hit, url=pa.array(targets, type=pa.string()),
+        host=pa.array(hosts_of(targets), type=pa.string()),
+        url_hash=pa.array(hash64(targets), type=pa.uint64()),
+        callback=pa.repeat(pa.scalar(""), len(hit)),
+        redirects=pc.add(hit["redirects"], pa.scalar(1, pa.int32())))
+
+
+def _redirect_rows(t: pa.Table, redirect_codes: tuple, redirect_max: int) -> pa.Table:
+    """3xx rows with a Location and hop budget left -> requeue rows at the
+    urljoined Location. Runs on the joined (page x wave) table; a corpus
+    without a location column never redirects."""
     if "location" not in t.column_names:
-        return schemas.REDIRECT_ROWS.empty_table()
+        return schemas.FRONTIER.empty_table()
     m = pc.and_(pc.and_(
         pc.is_in(t["status"], value_set=pa.array(list(redirect_codes),
                                                  type=t["status"].type)),
@@ -105,21 +146,11 @@ def _redirect_rows(t: pa.Table, redirect_codes: tuple, redirect_max: int) -> pa.
         pc.less(t["redirects"], redirect_max))
     hit = t.filter(m)
     if len(hit) == 0:
-        return schemas.REDIRECT_ROWS.empty_table()
+        return schemas.FRONTIER.empty_table()
     from urllib.parse import urljoin
-    targets = canonicalize_urls([urljoin(b, loc) for b, loc in
-                                 zip(hit["url"].to_pylist(),
-                                     hit["location"].to_pylist())])
-    return pa.table({
-        "url": pa.array(targets, type=pa.string()),
-        "host": pa.array(hosts_of(targets), type=pa.string()),
-        "url_hash": pa.array(hash64(targets), type=pa.uint64()),
-        "depth": hit["depth"],
-        "priority": hit["priority"],
-        "seq": hit["seq"],
-        "callback": pa.array([""] * len(hit), type=pa.string()),
-        "redirects": pc.add(hit["redirects"], pa.scalar(1, pa.int32())),
-    }, schema=schemas.REDIRECT_ROWS)
+    return _redirect_target_rows(hit, [urljoin(b, loc) for b, loc in
+                                       zip(hit["url"].to_pylist(),
+                                           hit["location"].to_pylist())])
 
 
 def _meta_refresh_split(t: pa.Table, maxdelay: float,
@@ -127,13 +158,11 @@ def _meta_refresh_split(t: pa.Table, maxdelay: float,
     """Meta-refresh middleware ([S:scrapy/downloadermiddlewares/redirect.py
     MetaRefreshMiddleware]): 2xx rows whose html carries a followable
     ``<meta http-equiv=refresh>`` (delay <= maxdelay, hop budget left) are
-    DIVERTED — returned as REDIRECT_ROWS at the target url and removed
+    DIVERTED — returned as requeue rows at the target url and removed
     from the parse stream (Scrapy replaces the response before the spider
     sees it). Negative path is one vectorized substring sniff over the
     binary html column, so corpora without refresh tags pay ~memchr."""
-    from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.htmlx import base_url, meta_refresh
-    from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 
     status = t["status"].to_numpy(zero_copy_only=False)
     red = t["redirects"].to_numpy(zero_copy_only=False)
@@ -144,7 +173,7 @@ def _meta_refresh_split(t: pa.Table, maxdelay: float,
             .to_numpy(zero_copy_only=False)
         cand &= sniff.astype(bool)
     if not cand.any():
-        return schemas.REDIRECT_ROWS.empty_table(), t
+        return schemas.FRONTIER.empty_table(), t
     idx = np.flatnonzero(cand)
     hit = t.take(pa.array(idx))
     urls = hit["url"].to_pylist()
@@ -158,19 +187,8 @@ def _meta_refresh_split(t: pa.Table, maxdelay: float,
         follow_i.append(k)
         raw_targets.append(urljoin(base_url(u, h), mr[1]))
     if not follow_i:
-        return schemas.REDIRECT_ROWS.empty_table(), t
-    fhit = hit.take(pa.array(follow_i))
-    targets = canonicalize_urls(raw_targets)
-    rows = pa.table({
-        "url": pa.array(targets, type=pa.string()),
-        "host": pa.array(hosts_of(targets), type=pa.string()),
-        "url_hash": pa.array(hash64(targets), type=pa.uint64()),
-        "depth": fhit["depth"],
-        "priority": fhit["priority"],
-        "seq": fhit["seq"],
-        "callback": pa.array([""] * len(fhit), type=pa.string()),
-        "redirects": pc.add(fhit["redirects"], pa.scalar(1, pa.int32())),
-    }, schema=schemas.REDIRECT_ROWS)
+        return schemas.FRONTIER.empty_table(), t
+    rows = _redirect_target_rows(hit.take(pa.array(follow_i)), raw_targets)
     keep = np.ones(len(t), dtype=bool)
     keep[idx[np.asarray(follow_i, dtype=np.int64)]] = False
     return rows, t.filter(pa.array(keep))
@@ -247,7 +265,7 @@ class FetchPlan:
     cpus: int                        # cluster CPUs; sets the task chunk
     registry: tuple                  # (PAGE_HANDLERS, URL_ROUTES, CRAWL_RULES)
     want_stats: bool                 # AutoThrottle per-host stats (F4)
-    retry: tuple | None              # (retry_codes, retry_max)
+    retry: tuple | None              # (retry_codes, retry_max, priority adjust)
     redirect: tuple | None           # (redirect_codes, redirect_max)
     metarefresh: tuple | None        # (maxdelay, redirect_max)
     maxsize: tuple | None            # (download_maxsize, download_warnsize)
@@ -292,7 +310,8 @@ class FetchPlan:
             # tasks read this snapshot (registry.py, SURVEY §2.10)
             registry=(dict(PAGE_HANDLERS), list(URL_ROUTES), list(CRAWL_RULES)),
             want_stats=cfg.autothrottle,
-            retry=((cfg.retry_codes, cfg.retry_max) if cfg.retry_max else None),
+            retry=((cfg.retry_codes, cfg.retry_max, cfg.retry_priority_adjust)
+                   if cfg.retry_max else None),
             redirect=((cfg.redirect_codes, cfg.redirect_max)
                       if redirect_on and has_redirects else None),
             metarefresh=((cfg.metarefresh_maxdelay, cfg.redirect_max)
@@ -315,14 +334,16 @@ class FetchPlan:
 class FetchResult(NamedTuple):
     """One fetch task's output; ``fetch_parse_wave`` merges a wave's task
     results, field by field, into one. items, links and n_fetched stay the
-    first three fields: tracers read them by position."""
+    first three fields: tracers read them by position. ``requeue`` holds
+    the requests the downloader middlewares send back to the frontier
+    (retries, 3xx redirect and meta-refresh targets) as FRONTIER rows
+    that keep the original request's seq."""
 
     items: pa.Table
     links: pa.Table                  # unsorted across tasks
     n_fetched: int
     host_stats: pa.Table             # HOST_STATS_SCHEMA
-    retries: pa.Table                # RETRY_ROWS
-    redirects: pa.Table              # REDIRECT_ROWS (3xx + meta-refresh)
+    requeue: pa.Table                # FRONTIER, unsorted across tasks
     n_maxsize_drop: int
     n_maxsize_warn: int
     n_err: int                       # CLOSESPIDER_ERRORCOUNT input
@@ -332,8 +353,7 @@ class FetchResult(NamedTuple):
     def empty(cls) -> "FetchResult":
         return cls(schemas.ITEMS.empty_table(), schemas.LINKS.empty_table(), 0,
                    HOST_STATS_SCHEMA.empty_table(),
-                   schemas.RETRY_ROWS.empty_table(),
-                   schemas.REDIRECT_ROWS.empty_table(), 0, 0, 0,
+                   schemas.FRONTIER.empty_table(), 0, 0, 0,
                    SESSION_SCHEMA.empty_table())
 
     def to_ipc(self) -> "FetchResult":
@@ -405,15 +425,18 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
                           # (simulator counts at the same point)
     sess = (_session_updates(t) if plan.want_sessions
             else SESSION_SCHEMA.empty_table())
-    retries = (_retry_rows(t, *plan.retry) if plan.retry is not None
-               else schemas.RETRY_ROWS.empty_table())
-    redirects = (_redirect_rows(t, *plan.redirect) if plan.redirect is not None
-                 else schemas.REDIRECT_ROWS.empty_table())
-    n_diverted = len(retries) + len(redirects)
+    requeue = []
+    if plan.retry is not None:
+        requeue.append(_retry_rows(t, *plan.retry))
+    if plan.redirect is not None:
+        requeue.append(_redirect_rows(t, *plan.redirect))
+    n_diverted = sum(map(len, requeue))
     if plan.metarefresh is not None:
         mr, t = _meta_refresh_split(t, *plan.metarefresh)
-        if len(mr):
-            redirects = pa.concat_tables([redirects, mr]) if len(redirects) else mr
+        requeue.append(mr)
+    requeue = [r for r in requeue if len(r)]
+    requeue = (pa.concat_tables(requeue) if requeue
+               else schemas.FRONTIER.empty_table())
     parsed = parse_page_batch(t, handlers=handlers, routes=routes,
                               allowed_statuses=plan.allowed_statuses, rules=rules)
     # error responses = fetched, non-2xx, fell through every middleware
@@ -428,8 +451,8 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
         from scrapy_ray.stages.links import filter_links_p
 
         links = filter_links_p(links, plan.link_filter)
-    return FetchResult(split_items(parsed), links, n_fetched, stats, retries,
-                       redirects, nd, nw, n_err, sess)
+    return FetchResult(split_items(parsed), links, n_fetched, stats, requeue,
+                       nd, nw, n_err, sess)
 
 
 def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:

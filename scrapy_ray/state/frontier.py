@@ -202,7 +202,7 @@ class FrontierShard:
     def get_sessions(self) -> dict[str, int]:
         return dict(self.sessions)
 
-    def update_throttle(self, hosts: list[str], latencies: np.ndarray) -> None:
+    def update_throttle(self, hosts: list[str], latencies: list[float]) -> None:
         """F4 AutoThrottle ([S:scrapy/extensions/throttle.py] smoothing over
         the deterministic virtual latency — see config.py): one update per
         host per wave with that wave's mean response latency."""
@@ -489,26 +489,25 @@ class ShardedFrontier:
             out.update(d)
         return out
 
-    def update_throttle(self, hosts: list[str], latencies: np.ndarray) -> None:
-        if not hosts:
-            return
-        shard = host_shard(hosts, self.n_shards)
-        futs = []
-        for s in range(self.n_shards):
-            idx = np.nonzero(shard == s)[0]
-            if len(idx):
-                futs.append(self.shards[s].call.remote(
-                    "frontier", "update_throttle", [hosts[i] for i in idx],
-                    latencies[idx], epoch=self._pool.epoch))
-        ray.get(futs)
+    def _by_host(self, hosts: list[str], values: list) -> list[tuple]:
+        """Per pool actor, the (hosts, values) lists of the hosts its
+        frontier partition owns, or (None, None)."""
+        out = [(None, None)] * len(self._pool.actors)
+        if hosts:
+            shard = host_shard(hosts, self.n_shards)
+            for s in np.unique(shard).tolist():
+                idx = np.flatnonzero(shard == s).tolist()
+                out[s] = ([hosts[i] for i in idx], [values[i] for i in idx])
+        return out
 
     def end_wave_async(self, rows: pa.Table | None, sess_hosts: list[str],
                        sess_tokens: list[int], ckpt_dir: str | None,
-                       next_wave_idx: int | None) -> list:
+                       next_wave_idx: int | None, at_hosts: list[str],
+                       at_latencies: list[float]) -> list:
         """Submit the merged end-of-wave RPC (CrawlShard.end_wave) — ONE
-        submission per actor carrying that actor's new rows + session
-        updates + the optional checkpoint/drain requests, in one loop with
-        one hash-partition pass. A checkpoint request goes to EVERY actor of
+        submission per actor carrying that actor's new rows + session and
+        AutoThrottle updates + the optional checkpoint/drain requests, in
+        one loop. A checkpoint request goes to EVERY actor of
         the pool, including those that hold only a URL-seen partition (they
         get no rows and no drain). Actors with no payload and no request are
         skipped. Returns futures; a future resolves to the actor's next-wave
@@ -525,7 +524,8 @@ class ShardedFrontier:
         row_shard = None
         if rows is not None and len(rows):
             row_shard = host_shard(rows["host"].to_pylist(), self.n_shards)
-        sess_shard = host_shard(sess_hosts, self.n_shards) if sess_hosts else None
+        sess = self._by_host(sess_hosts, sess_tokens)
+        throttle = self._by_host(at_hosts, at_latencies)
         futs = []
         for s, actor in enumerate(self._pool.actors):
             srows = None
@@ -533,17 +533,14 @@ class ShardedFrontier:
                 idx = np.nonzero(row_shard == s)[0]
                 if len(idx):
                     srows = schemas.to_ipc(rows.take(pa.array(idx)))
-            sh = st = None
-            if sess_shard is not None:
-                sidx = np.nonzero(sess_shard == s)[0]
-                if len(sidx):
-                    sh = [sess_hosts[i] for i in sidx]
-                    st = [sess_tokens[i] for i in sidx]
+            sh, st = sess[s]
+            ah, al = throttle[s]
             drain = next_wave_idx if s < self.n_shards else None
-            if srows is None and sh is None and ckpt_dir is None and drain is None:
+            if (srows is None and sh is None and ah is None
+                    and ckpt_dir is None and drain is None):
                 continue
             futs.append(actor.end_wave.remote(
-                srows, sh, st, ckpt_dir, drain, epoch=self._pool.epoch))
+                srows, sh, st, ckpt_dir, drain, ah, al, epoch=self._pool.epoch))
         return futs
 
     def merge_wave(self, parts: list) -> pa.Table:

@@ -65,19 +65,23 @@ class CrawlShard:
 
     def end_wave(self, rows: pa.Buffer | None, sess_hosts: list[str] | None,
                  sess_tokens: list[int] | None, ckpt_dir: str | None,
-                 next_wave_idx: int | None,
+                 next_wave_idx: int | None, at_hosts: list[str] | None = None,
+                 at_latencies: list[float] | None = None,
                  epoch: int | None = None) -> pa.Buffer | None:
-        """End-of-wave combined op: apply the wave's session updates, enqueue
-        its new rows, optionally write BOTH partitions' checkpoint segments,
-        and optionally drain the next wave — in that order (sessions → push
-        → checkpoint → drain), so the checkpoint captures post-push,
-        pre-drain state. The frontier arguments are None on an actor that
-        holds only a URL-seen partition; it still checkpoints. ``rows`` and
-        the drained wave are IPC buffers."""
+        """End-of-wave combined op: apply the wave's session and AutoThrottle
+        updates, enqueue its new rows, optionally write BOTH partitions'
+        checkpoint segments, and optionally drain the next wave — in that
+        order (sessions → throttle → push → checkpoint → drain), so the
+        checkpoint captures post-push, pre-drain state. Only the drain and
+        the checkpoint read the throttle delays. The frontier arguments are
+        None on an actor that holds only a URL-seen partition; it still
+        checkpoints. ``rows`` and the drained wave are IPC buffers."""
         self._guard(epoch)
         rows = schemas.from_ipc(rows)
         if sess_hosts:
             self.frontier.update_sessions(sess_hosts, sess_tokens)
+        if at_hosts:
+            self.frontier.update_throttle(at_hosts, at_latencies)
         if rows is not None and len(rows):
             self.frontier.push(rows)
         if ckpt_dir is not None:
@@ -124,10 +128,6 @@ class ShardPool:
     fan-outs. ``urlseen`` and ``frontier`` are the routing views."""
 
     def __init__(self, cfg: CrawlConfig, robots_bodies: dict[str, str] | None = None):
-        for name in ("n_filter_shards", "n_frontier_shards"):
-            if getattr(cfg, name) < 1:
-                raise ValueError(f"CrawlConfig.{name} must be >= 1, "
-                                 f"got {getattr(cfg, name)}")
         self.cfg = cfg
         self.epoch: int | None = None  # set by stamp(); the views send it
         n_front = cfg.n_frontier_shards

@@ -170,15 +170,13 @@ class ShardedUrlSeen:
         self.n_shards = pool.cfg.n_filter_shards
         self.shards = pool.actors[:self.n_shards]
 
-    def check_mask(self, hashes: np.ndarray, urls_arr: pa.Array,
-                   dont_filter: np.ndarray | None = None) -> np.ndarray:
+    def check_mask(self, hashes: np.ndarray, urls_arr: pa.Array) -> np.ndarray:
         """Core anti-join: ONE batched RPC fan for an arbitrary candidate
         array, returning the keep-mask (True = never seen, now marked).
         First occurrence within the batch wins, so the caller may CONCAT
-        independently-ordered candidate groups (links then redirects) into
-        a single round-trip and get byte-identical results to filtering
-        them sequentially — the round-5 serial-floor cut (VERDICT r4
-        item 3) rides on this."""
+        independently-ordered candidate groups (links then redirect
+        targets) into a single round-trip and get byte-identical results to
+        filtering them sequentially."""
         n = len(hashes)
         mask = np.zeros(n, dtype=bool)
         if n == 0:
@@ -195,24 +193,16 @@ class ShardedUrlSeen:
             idxs.append(idx)
         for idx, res in zip(idxs, ray.get(futs)):
             mask[idx] = res
-        if dont_filter is not None:
-            mask |= dont_filter
         return mask
 
     def filter_new(self, links: pa.Table) -> pa.Table:
-        """Anti-join the candidate links against all shards (batched,
-        parallel); preserves input order; honors ``dont_filter`` (D2)."""
-        n = len(links)
-        if n == 0:
+        """Anti-join the candidate (url, url_hash) rows against all shards
+        (batched, parallel); preserves input order."""
+        if len(links) == 0:
             return links
-        hashes = links["url_hash"].to_numpy(zero_copy_only=False)
-        urls_arr = links["url"]
-        if isinstance(urls_arr, pa.ChunkedArray):
-            urls_arr = urls_arr.combine_chunks()
-        dont = None
-        if "dont_filter" in links.column_names:
-            dont = np.asarray(links["dont_filter"].to_pylist(), dtype=bool)
-        return links.filter(pa.array(self.check_mask(hashes, urls_arr, dont)))
+        return links.filter(pa.array(self.check_mask(
+            links["url_hash"].to_numpy(zero_copy_only=False),
+            links["url"].combine_chunks())))
 
     def seen_table(self) -> pa.Table:
         return pa.concat_tables([schemas.from_ipc(t) for t in ray.get([

@@ -69,6 +69,7 @@ def test_redirects_disabled_means_dead_ends(ray_session, redirect_corpus):
 
 def test_redirect_rows_unit():
     """In-task builder: urljoin + canonicalize + hash on targets; hop cap."""
+    from scrapy_ray import schemas
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.stages.fetch import _redirect_rows
 
@@ -93,8 +94,53 @@ def test_redirect_rows_unit():
     assert out["seq"].to_pylist() == [10, 11]          # original seq
     assert out["redirects"].to_pylist() == [1, 1]
     assert out["url_hash"].to_pylist() == hash64(out["url"].to_pylist()).tolist()
+    # a full FRONTIER row: no parent, callback cleared, dupefilter applies,
+    # attempt count reset
+    assert out.schema.equals(schemas.FRONTIER)
+    assert out["parent_url"].to_pylist() == ["", ""]
+    assert out["callback"].to_pylist() == ["", ""]
+    assert out["dont_filter"].to_pylist() == [False, False]
+    assert out["retries"].to_pylist() == [0, 0]
     # corpus without a location column -> never redirects
     assert len(_redirect_rows(t.drop_columns(["location"]), (301,), 20)) == 0
+
+
+def test_retry_rows_unit():
+    """In-task retry rows ([S:retry.py]): a retryable status with attempt
+    budget left becomes a FRONTIER row at the same url with the priority
+    adjusted, the attempt count + 1, the dupefilter bypassed and the
+    ORIGINAL seq kept."""
+    from scrapy_ray import schemas
+    from scrapy_ray.stages.fetch import _retry_rows
+
+    t = pa.table({
+        "url": pa.array(["https://a.example.com/1", "https://a.example.com/2",
+                         "https://b.example.com/3", "https://b.example.com/4"]),
+        "host": pa.array(["a.example.com", "a.example.com",
+                          "b.example.com", "b.example.com"]),
+        "url_hash": pa.array([11, 12, 13, 14], type=pa.uint64()),
+        "status": pa.array([503, 200, 500, 500], type=pa.int16()),
+        "depth": pa.array([1, 1, 2, 2], type=pa.int32()),
+        "priority": pa.array([5, 0, 0, 3], type=pa.int32()),
+        "seq": pa.array([20, 21, 22, 23], type=pa.int64()),
+        "callback": pa.array(["parse_detail", "", "parse_listing", ""]),
+        "retries": pa.array([0, 0, 1, 2], type=pa.int32()),   # last: spent
+        "redirects": pa.array([3, 0, 0, 0], type=pa.int32()),
+    })
+    out = _retry_rows(t, (500, 503), 2, -1)
+    assert out.schema.equals(schemas.FRONTIER)
+    assert out["url"].to_pylist() == ["https://a.example.com/1",
+                                      "https://b.example.com/3"]
+    assert out["host"].to_pylist() == ["a.example.com", "b.example.com"]
+    assert out["url_hash"].to_pylist() == [11, 13]
+    assert out["depth"].to_pylist() == [1, 2]
+    assert out["priority"].to_pylist() == [4, -1]       # priority + adjust
+    assert out["seq"].to_pylist() == [20, 22]           # original seq
+    assert out["callback"].to_pylist() == ["parse_detail", "parse_listing"]
+    assert out["retries"].to_pylist() == [1, 2]         # retries + 1
+    assert out["dont_filter"].to_pylist() == [True, True]
+    assert out["redirects"].to_pylist() == [0, 0]
+    assert out["parent_url"].to_pylist() == ["", ""]
 
 
 def test_all_middlewares_together(ray_session, redirect_corpus):
@@ -166,10 +212,16 @@ def test_meta_refresh_split_unit():
         "redirects": pa.array([0, 0, 0, 20], type=pa.int32()),
     })
     rows, keep = _meta_refresh_split(t, 100.0, 20)
-    assert rows.schema.equals(schemas.REDIRECT_ROWS)
+    assert rows.schema.equals(schemas.FRONTIER)
     assert rows["url"].to_pylist() == ["https://a.example.com/t/0"]
     assert rows["redirects"].to_pylist() == [1]
     assert rows["seq"].to_pylist() == [10]
+    assert rows["host"].to_pylist() == ["a.example.com"]
+    assert rows["depth"].to_pylist() == [1]
+    assert rows["parent_url"].to_pylist() == [""]
+    assert rows["callback"].to_pylist() == [""]
+    assert rows["dont_filter"].to_pylist() == [False]
+    assert rows["retries"].to_pylist() == [0]
     # only the followed row left the parse stream
     assert keep["seq"].to_pylist() == [11, 12, 13]
 

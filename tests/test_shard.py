@@ -1,8 +1,8 @@
 """The merged shard actor (state/shard.py): CrawlShard as a plain class (epoch
 guard, reset, checkpoint round-trips for shards that hold only one of the
-two partitions), the fail-fast shard-count check, the pool layout the
-engine builds, the IPC wire format its RPCs use, and the libraries a shard
-process loads."""
+two partitions), the fail-fast shard-count and config checks, the pool
+layout the engine builds, the IPC wire format its RPCs use, and the
+libraries a shard process loads."""
 
 from __future__ import annotations
 
@@ -117,6 +117,20 @@ def test_shard_counts_fail_fast(field, value):
     actor, naming the field."""
     with pytest.raises(ValueError, match=f"CrawlConfig.{field} must be >= 1"):
         ShardPool(CrawlConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"n_frontier_shards": 0}, "CrawlConfig.n_frontier_shards must be >= 1"),
+    ({"handle_httpstatus_list": (503,), "retry_max": 1},
+     "handle_httpstatus_list overlaps"),
+    ({"retry_max": 1, "retry_codes": (500, 302)},
+     "retry_codes and redirect_codes overlap"),
+])
+def test_crawl_config_rejects_bad_settings(kwargs, match):
+    """The config validates itself: every engine entry point (run_crawl, a
+    direct CrawlEngine, the CLI) gets the same errors, with no Ray."""
+    with pytest.raises(ValueError, match=match):
+        CrawlConfig(**kwargs)
 
 
 @pytest.mark.parametrize("n_filter,n_frontier", [(3, 2), (2, 3)])
