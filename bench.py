@@ -130,8 +130,7 @@ def bench_kernel(num_cpus: int, warmup: bool = True) -> dict:
     if warmup:
         _warm_workers(num_cpus)
         ds = read_pages(FEAT_ROOT, columns=["url", "html"], buckets=range(8))
-        ds.map_batches(_featurize_task, batch_format="pyarrow",
-                       batch_size=256).count()
+        ds.map_batches(_featurize_task, batch_format="pyarrow").count()
 
     out = os.path.join(BENCH_ROOT, f"feat_out_{num_cpus}")
     if os.path.exists(out):

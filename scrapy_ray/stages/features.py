@@ -3,15 +3,23 @@ web-text feature-extraction pipeline: parse + extract + text stats + sketches
 in one ``map_batches`` pass over raw pages (stateless tasks by default, an
 actor pool on request; see ``featurize_corpus``).
 
+The ``map_batches`` call takes whole read blocks (no ``batch_size``), so Ray
+Data fuses it with the read into one operator and no block goes through the
+object store between read and featurize. With stateless tasks the write
+fuses too; behind an actor pool only the write is a separate operator.
+
 This is the shape a 100 TB training-data run has: heavy per-page CPU
 (regex extraction, visible text, tokenizing) in a Python row loop, then the
 vector kernels (token hashing, per-page dedup, MinHash, SimHash) once per
-batch over the flat token list (SURVEY.md §7.2)."""
+slice over the flat token list (SURVEY.md §7.2)."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.functions.htmlx import extract_detail, visible_text
@@ -36,11 +44,22 @@ FEATURES_SCHEMA = pa.schema(
 
 
 class PageFeaturizer:
-    """Callable class: ``map_batches`` UDF, or an actor pool's per-actor state."""
+    """Callable class: ``map_batches`` UDF, or an actor pool's per-actor state.
+    A call takes a whole read block (up to Ray's 128 MiB) and featurizes it
+    in zero-copy slices of ``SLICE_ROWS`` rows, so the flat token list of one
+    pass stays small; every feature is per page, so the slicing does not
+    change the output."""
 
     N_PERM = 16
+    SLICE_ROWS = 256
 
     def __call__(self, t: pa.Table) -> pa.Table:
+        if len(t) <= self.SLICE_ROWS:
+            return self._featurize(t)
+        return pa.concat_tables([self._featurize(t.slice(i, self.SLICE_ROWS))
+                                 for i in range(0, len(t), self.SLICE_ROWS)])
+
+    def _featurize(self, t: pa.Table) -> pa.Table:
         cols: dict[str, list] = {k: [] for k in FEATURES_SCHEMA.names[:-2]}
         tokens: list[str] = []      # every page's distinct tokens, in page order
         n_uniq: list[int] = []
@@ -86,30 +105,29 @@ def _featurize_task(t: pa.Table) -> pa.Table:
     """Stateless-task variant: the per-worker featurizer is module-cached, so
     task workers pay construction once. PageFeaturizer's state is tiny; use
     the actor-pool form (``concurrency=N``) when the stage holds real state
-    (models/indexes) — an actor pool that reserves EVERY cpu starves the
-    read/write stages (measured: 5x slowdown), so leave headroom then."""
+    (models/indexes). The read fuses into the pool's operator, so a pool as
+    large as the cluster still runs; only the write waits for a free CPU."""
     global _TASK_FEATURIZER
     if _TASK_FEATURIZER is None:
         _TASK_FEATURIZER = PageFeaturizer()
     return _TASK_FEATURIZER(t)
 
 
-def featurize_corpus(corpus_root: str, out_dir: str, concurrency: int | None = None,
-                     batch_size: int = 256) -> int:
+def featurize_corpus(corpus_root: str, out_dir: str,
+                     concurrency: int | None = None) -> int:
     """Full-corpus streaming pipeline: read (pruned columns) -> featurize ->
-    partitioned parquet sink. Returns row count. ``concurrency=None`` =
-    stateless tasks (elastic, default); an int = actor pool of that size."""
+    parquet sink. Returns the rows this call wrote (``write_parquet``
+    appends, so files already in ``out_dir`` are not counted).
+    ``concurrency=None`` = stateless tasks (elastic, default); an int =
+    actor pool of that size."""
     from scrapy_ray.sources.readers import read_pages
 
     ds = read_pages(corpus_root, columns=["url", "html"])
-    if concurrency is None:
-        out = ds.map_batches(_featurize_task, batch_format="pyarrow",
-                             batch_size=batch_size)
-    else:
-        out = ds.map_batches(PageFeaturizer, batch_format="pyarrow",
-                             batch_size=batch_size, concurrency=concurrency)
+    udf = _featurize_task if concurrency is None else PageFeaturizer
+    out = ds.map_batches(udf, batch_format="pyarrow", batch_size=None,
+                         concurrency=concurrency)
+    before = set(os.listdir(out_dir)) if os.path.isdir(out_dir) else set()
     out.write_parquet(out_dir)
-    import pyarrow.parquet as pq
-    import os
     return sum(pq.read_metadata(os.path.join(out_dir, f)).num_rows
-               for f in os.listdir(out_dir) if f.endswith(".parquet"))
+               for f in os.listdir(out_dir)
+               if f.endswith(".parquet") and f not in before)

@@ -228,6 +228,34 @@ def test_page_featurizer_sketches_match_per_page(small_corpus):
     assert n_empty >= 2
 
 
+def test_page_featurizer_slices_a_whole_block(small_corpus):
+    """One call over a read-block-sized input: more than two SLICE_ROWS
+    slices, with slice boundaries inside the input's chunks."""
+    from scrapy_ray.stages.features import FEATURES_SCHEMA, PageFeaturizer
+
+    pages = small_corpus.select(["url", "html"])
+    n_perm, rows = PageFeaturizer.N_PERM, PageFeaturizer.SLICE_ROWS
+    copies = [pages.set_column(0, "url", pa.array([f"{u}?copy={k}" for u in
+                                                   pages["url"].to_pylist()]))
+              for k in range(2 * rows // len(pages) + 1)]
+    block = pa.concat_tables(copies)
+    chunk_ends = set(np.cumsum([len(c) for c in copies]).tolist())
+    assert len(block) > 2 * rows and rows not in chunk_ends
+    out = PageFeaturizer()(block)
+    assert out.schema == FEATURES_SCHEMA
+    assert out["url"].to_pylist() == block["url"].to_pylist()
+    for html, row in zip(block["html"].to_pylist(), out.to_pylist()):
+        toks = visible_text(html).split()
+        th = np.unique(hash64(list(set(toks)))) if toks else np.empty(0, np.uint64)
+        want_sig = (minhash_signature(th, n_perm) if len(th)
+                    else np.full(n_perm, _MERSENNE)).tolist()
+        assert row["minhash"] == want_sig, row["url"]
+        assert row["simhash"] == int(np.uint64(_simhash_bitloop(th)).view(np.int64))
+        assert row["n_tokens"] == len(toks)
+    empty = PageFeaturizer()(block.slice(0, 0))
+    assert len(empty) == 0 and empty.schema == FEATURES_SCHEMA
+
+
 # -------------------------------------------------------------------- parse
 
 def _handler(url: str, html: bytes) -> dict:
