@@ -1,20 +1,19 @@
-"""Benchmark harness (driver contract + SURVEY.md §6 / BASELINE.md).
+"""Multi-node scaling benches on a ``ray.cluster_utils`` cluster (one box:
+a 0-CPU head plus RAY_GRAFT_NODES worker raylets of RAY_GRAFT_CPUS_PER_NODE
+CPUs, each with its own object store; see ``_init_cluster``). Each mode
+prints ONE JSON line:
 
-Default: runs the headline suite at RAY_GRAFT_CPUS (default 32) over
-$GRAFT_SF_DIR (default /root/testdata/sf0.1) + deterministic synthetic pages
-corpora, prints ONE JSON line:
-  {"metric": ..., "value": <total sec>, "unit": "sec",
-   "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "pages_per_sec": ..., "frontier_urls_per_sec": ...}
+--crawl-nodes:         the 200k-page wave-loop crawl, shard actors SPREAD
+                       across the worker nodes.
+--kernel-nodes:        the featurize scan of the 500k-page corpus.
+--crawl1m-nodes:       the 1M-page / 10k-host Bloom-only crawl.
+--scaling-nodes:       --crawl-nodes and --kernel-nodes at 1 vs 4 worker
+                       nodes in fresh processes, interleaved, per-level min.
+--scaling-wide-nodes:  --crawl1m-nodes at 1 vs 4 worker nodes, same protocol.
 
---kernel:  only the throughput kernel (featurize the 500k-page corpus) —
-           used by --scaling.
---crawl:   only the end-to-end crawl bench (200k-page corpus).
---scaling: run kernel + crawl in fresh processes at N and 4N CPUs (primary
-           pair 2 -> 8; 32 reported as a contended datapoint — this VM's
-           vCPUs are hypervisor-oversubscribed, see BENCH/BASELINE.md) on
-           the same pre-generated input; print throughputs + scaling
-           efficiency (the sandbox evidence for the N->4N cluster criterion).
+Single-node crawl and featurize throughput, with every output checked, is
+``perfbench/run.py`` (BENCHMARK.json). Corpora are cached in
+/tmp/scrapy_ray_bench (regenerated iff the spec here changes).
 
 This script OWNS its Ray session (library code never calls ray.init).
 """
@@ -28,13 +27,12 @@ import subprocess
 import sys
 import time
 
-SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 BENCH_ROOT = "/tmp/scrapy_ray_bench"
 CRAWL_ROOT = os.path.join(BENCH_ROOT, "corpus_crawl")
 FEAT_ROOT = os.path.join(BENCH_ROOT, "corpus_feat")
-
+CRAWL1M_ROOT = os.path.join(BENCH_ROOT, "corpus_crawl1m")
 
 def _specs():
     from scrapy_ray.sources.corpus import CorpusSpec
@@ -63,7 +61,7 @@ def ensure_corpora(which: str = "both") -> None:
 
 def _warm_workers(num_cpus: int) -> None:
     """Spin up + import-warm every worker process so timed runs measure the
-    engine, not cold process startup (ray_guide '--scaling' note)."""
+    engine, not cold process startup."""
     import ray
 
     @ray.remote
@@ -75,39 +73,45 @@ def _warm_workers(num_cpus: int) -> None:
     ray.get([_w.remote() for _ in range(num_cpus * 2)])
 
 
-def bench_crawl(actor_scheduling: str | None = None,
-                actor_resources: dict | None = None) -> dict:
-    """End-to-end wave-loop crawl (frontier + dedup + fetch-join + parse +
-    sinks; politeness budget maxed out so throughput — not the virtual
-    pacing clock — is measured) — reports pages/sec and frontier URLs/sec
-    [B:metric]."""
+def _timed_crawl(root: str, sink: str, **cfg_kwargs):
+    """One wave-loop crawl of ``root`` from seed to last wave, items/order
+    streamed to per-wave parquet partitions under ``sink`` (the resumable
+    sink; a real ``ray job submit`` crawl ends there, so assembling a
+    driver-side result is not timed). Politeness is maxed out so throughput
+    — not the virtual pacing clock — is measured. Shard-actor startup is
+    untimed (``eng.warm()``), like ``_warm_workers``. Returns the engine and
+    the seconds from seed to the last durable sink write."""
     from scrapy_ray.config import CrawlConfig
     from scrapy_ray.pipelines.crawl import CrawlEngine
 
-    # 4+4 shards measured fastest on this box (8+8 adds actor-RPC fan-out
-    # that the oversubscribed vCPUs punish); cooldown lets hypervisor
-    # throttle from earlier phases decay (BENCH/BASELINE.md).
-    # Production shape: items/order stream to per-wave parquet partitions
-    # (the resumable sink) and the timed region is seed -> last wave — a
-    # real `ray job submit` crawl ends there; assembling one driver-side
-    # result table is a test-harness convenience, not crawl throughput.
-    time.sleep(8)
-    sink = os.path.join(BENCH_ROOT, f"crawl_out_{NUM_CPUS}")
     if os.path.exists(sink):
         shutil.rmtree(sink)
-    cfg = CrawlConfig(n_filter_shards=4, n_frontier_shards=4,
-                      per_domain_cap=1 << 20, respect_crawl_delay=False,
+    cfg = CrawlConfig(per_domain_cap=1 << 20, respect_crawl_delay=False,
                       checkpoint_dir=sink, checkpoint_every=1_000_000,
-                      actor_scheduling=actor_scheduling,
-                      actor_resources=actor_resources)
-    eng = CrawlEngine(CRAWL_ROOT, cfg)
-    eng.warm()      # shard-actor process startup — untimed, like _warm_workers
+                      **cfg_kwargs)
+    eng = CrawlEngine(root, cfg)
+    eng.warm()
     t0 = time.time()
     eng.seed()
     while eng.run_wave():
         pass
-    eng._drain_sinks()   # sink writes are async tasks now; durability stays
-    dt = time.time() - t0  # inside the timed region (round-3 comparability)
+    eng._drain_sinks()   # sink durability stays inside the timed region
+    return eng, time.time() - t0
+
+
+def bench_crawl(actor_scheduling: str | None = None,
+                actor_resources: dict | None = None) -> dict:
+    """End-to-end wave-loop crawl of the 200k-page corpus (frontier + dedup
+    + fetch-join + parse + sinks) — reports pages/sec and frontier URLs/sec
+    [B:metric]."""
+    # 4+4 shards measured fastest on this box (8+8 adds actor-RPC fan-out
+    # that the oversubscribed vCPUs punish); cooldown lets hypervisor
+    # throttle from earlier phases decay (BENCH/BASELINE.md).
+    time.sleep(8)
+    eng, dt = _timed_crawl(CRAWL_ROOT, os.path.join(BENCH_ROOT, f"crawl_out_{NUM_CPUS}"),
+                           n_filter_shards=4, n_frontier_shards=4,
+                           actor_scheduling=actor_scheduling,
+                           actor_resources=actor_resources)
     n_seen = sum(s["n_seen"] for s in eng.urlseen.stats())
     return {
         "sec": dt,
@@ -141,51 +145,6 @@ def bench_kernel(num_cpus: int, warmup: bool = True) -> dict:
     return {"sec": dt, "rows": n, "pages_per_sec": n / dt}
 
 
-def bench_queries(sf_dir: str) -> tuple[dict, dict, float]:
-    """Headline query pipelines over the driver testdata at sf0.1.
-
-    Round-5 protocol (VERDICT r4 item 1): each query runs TWICE and the
-    reported number is the per-query MIN — a single cold sample on this
-    hypervisor-oversubscribed box can read 1.4-1.6x the engine floor
-    (BENCH_r04 vs the same-code fast window), and the floor is the number
-    every other section of BENCH/BASELINE.md reports. Raw samples are
-    returned for transparency; the time spent in discarded (non-min)
-    samples is returned so the suite total can exclude it."""
-    from scrapy_ray.pipelines.queries import (q_explode_top_tokens,
-                                              q_grouped_agg_user_value,
-                                              q_tpch_q1_like, q_tpch_q3_like)
-    from scrapy_ray.pipelines.training import (q_ann_cosine_topk,
-                                               q_dedup_exact_text,
-                                               q_minhash_lsh_neardup,
-                                               q_sessionize_events)
-
-    import ray.data
-
-    out, runs, discarded = {}, {}, 0.0
-    for name, fn in [
-        ("tpch_q1_like", q_tpch_q1_like),
-        ("tpch_q3_like", q_tpch_q3_like),
-        ("grouped_agg_user_value", q_grouped_agg_user_value),
-        ("explode_top_tokens", q_explode_top_tokens),
-        ("dedup_exact_text", q_dedup_exact_text),
-        ("minhash_lsh_neardup", q_minhash_lsh_neardup),
-        ("ann_cosine_topk", q_ann_cosine_topk),
-        ("sessionize_events", q_sessionize_events),
-    ]:
-        samples = []
-        for _ in range(2):
-            t0 = time.time()
-            res = fn(sf_dir)
-            # force execution for lazy Datasets
-            if isinstance(res, ray.data.Dataset):
-                res.count()
-            samples.append(round(time.time() - t0, 3))
-        out[name] = min(samples)
-        runs[name] = samples
-        discarded += sum(samples) - min(samples)
-    return out, runs, discarded
-
-
 def _init_ray(num_cpus: int) -> None:
     import ray
 
@@ -207,30 +166,6 @@ def _init_ray(num_cpus: int) -> None:
     quiet_ray_data()
 
 
-def run_kernel_mode() -> None:
-    _init_ray(NUM_CPUS)
-    ensure_corpora("feat")
-    k = bench_kernel(NUM_CPUS)
-    print(json.dumps({"metric": "featurize_500k_pages", "value": round(k["sec"], 3),
-                      "unit": "sec", "num_cpus": NUM_CPUS,
-                      "pages_per_sec": round(k["pages_per_sec"], 1)}))
-    import ray
-    ray.shutdown()
-
-
-def run_crawl_mode() -> None:
-    _init_ray(NUM_CPUS)
-    ensure_corpora("crawl")
-    _warm_workers(NUM_CPUS)
-    c = bench_crawl()
-    print(json.dumps({"metric": "crawl_200k_pages", "value": round(c["sec"], 3),
-                      "unit": "sec", "num_cpus": NUM_CPUS,
-                      "pages_per_sec": round(c["pages_per_sec"], 1),
-                      "frontier_urls_per_sec": round(c["frontier_urls_per_sec"], 1)}))
-    import ray
-    ray.shutdown()
-
-
 N_NODES = int(os.environ.get("RAY_GRAFT_NODES", "1"))
 CPUS_PER_NODE = int(os.environ.get("RAY_GRAFT_CPUS_PER_NODE", "2"))
 
@@ -240,8 +175,8 @@ def _init_cluster(n_nodes: int, cpus_per_node: int):
     a 0-CPU head node (driver + GCS only) plus ``n_nodes`` worker raylets,
     each with its OWN object store, scheduler, and worker pool — shard-actor
     RPCs, wave-table transfers, and ray.put broadcasts cross real node
-    boundaries (loopback TCP + per-node plasma), unlike the single-raylet
-    ``num_cpus=N`` stand-in used by --scaling. The N vs 4N *node* comparison
+    boundaries (loopback TCP + per-node plasma), unlike a single-raylet
+    ``num_cpus=N`` session. The N vs 4N *node* comparison
     this enables is the closest this sandbox can get to the north rule's
     fixed-size-cluster criterion."""
     import ray
@@ -321,11 +256,11 @@ def _sub_nodes(mode: str, n_nodes: int) -> dict:
 def run_scaling_nodes() -> None:
     """N -> 4N NODE scaling evidence (round 5): 1 worker node vs 4 worker
     nodes, 2 CPUs each, on one box — real per-node object stores and
-    inter-node transfer (see _init_cluster). Same protocol as --scaling:
-    interleaved x3, per-level MIN (episodic hypervisor steal), raw samples
-    printed. The 4-node level additionally pays REAL cross-node costs the
-    flat num_cpus pair cannot show, so this is the stricter reading of the
-    north rule's ≥0.8 criterion."""
+    inter-node transfer (see _init_cluster). Crawl pairs interleaved x3,
+    kernel pairs x2, per-level MIN (episodic hypervisor steal), raw samples
+    printed. The 4-node level pays REAL cross-node costs a flat num_cpus
+    pair cannot show, so this is the stricter reading of the north rule's
+    ≥0.8 criterion."""
     _init_ray(NUM_CPUS)
     ensure_corpora("both")
     import ray
@@ -358,84 +293,30 @@ def run_scaling_nodes() -> None:
     }))
 
 
-CRAWL1M_ROOT = os.path.join(BENCH_ROOT, "corpus_crawl1m")
-
-
-def run_crawl1m_mode() -> None:
-    """Opt-in (not part of the default suite the driver times): 1M-page /
-    10k-host crawl in Bloom-only memory-bounded dedup mode — the 10^10-URL
-    configuration (CrawlConfig.exact_urlseen=False) exercised at 5x the
-    standard bench scale. Evidence that the wave loop, sharded frontier and
-    Bloom anti-join hold their shape as the corpus grows; recorded in
-    BENCH/BASELINE.md."""
-    from scrapy_ray.config import CrawlConfig
-    from scrapy_ray.pipelines.crawl import CrawlEngine
+def _gen_crawl1m() -> None:
     from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
 
-    _init_ray(NUM_CPUS)
     generate_corpus(CRAWL1M_ROOT, CorpusSpec(
         n_hosts=10_000, total_pages=1_000_000, page_size=120, seed=43,
         n_buckets=64, max_details_per_host=800))
-    _warm_workers(NUM_CPUS)
-    time.sleep(8)
-    sink = os.path.join(BENCH_ROOT, f"crawl1m_out_{NUM_CPUS}")
-    if os.path.exists(sink):
-        shutil.rmtree(sink)
-    cfg = CrawlConfig(n_filter_shards=4, n_frontier_shards=4,
-                      per_domain_cap=1 << 20, respect_crawl_delay=False,
-                      exact_urlseen=False, bloom_capacity=2_000_000,
-                      checkpoint_dir=sink, checkpoint_every=1_000_000)
-    eng = CrawlEngine(CRAWL1M_ROOT, cfg)
-    eng.warm()
-    t0 = time.time()
-    eng.seed()
-    while eng.run_wave():
-        pass
-    eng._drain_sinks()   # keep sink durability inside the timed region
-    dt = time.time() - t0
-    print(json.dumps({
-        "metric": "crawl_1m_pages_bloom_only", "value": round(dt, 3),
-        "unit": "sec", "num_cpus": NUM_CPUS,
-        "pages_fetched": eng.pages_fetched,
-        "waves": len(eng.lineage),
-        "pages_per_sec": round(eng.pages_fetched / dt, 1),
-    }))
-    import ray
-    ray.shutdown()
 
 
 def run_crawl1m_nodes_mode() -> None:
     """The 1M-page Bloom-only crawl (wide waves — the serial-floor-amortized
-    scale-representative shape) on a REAL multi-node cluster."""
+    scale-representative shape) on a REAL multi-node cluster: the
+    10^10-URL configuration (CrawlConfig.exact_urlseen=False)."""
     import ray
 
-    from scrapy_ray.config import CrawlConfig
-    from scrapy_ray.pipelines.crawl import CrawlEngine
-    from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
-
     cluster = _init_cluster(N_NODES, CPUS_PER_NODE)
-    generate_corpus(CRAWL1M_ROOT, CorpusSpec(
-        n_hosts=10_000, total_pages=1_000_000, page_size=120, seed=43,
-        n_buckets=64, max_details_per_host=800))
+    _gen_crawl1m()
     _warm_workers(N_NODES * CPUS_PER_NODE)
     time.sleep(4)
-    sink = os.path.join(BENCH_ROOT, f"crawl1m_nodes_out_{N_NODES}")
-    if os.path.exists(sink):
-        shutil.rmtree(sink)
-    cfg = CrawlConfig(n_filter_shards=4, n_frontier_shards=4,
-                      per_domain_cap=1 << 20, respect_crawl_delay=False,
-                      exact_urlseen=False, bloom_capacity=2_000_000,
-                      checkpoint_dir=sink, checkpoint_every=1_000_000,
-                      actor_scheduling="SPREAD",
-                      actor_resources={"crawl_node": 1e-3})
-    eng = CrawlEngine(CRAWL1M_ROOT, cfg)
-    eng.warm()
-    t0 = time.time()
-    eng.seed()
-    while eng.run_wave():
-        pass
-    eng._drain_sinks()
-    dt = time.time() - t0
+    eng, dt = _timed_crawl(CRAWL1M_ROOT,
+                           os.path.join(BENCH_ROOT, f"crawl1m_nodes_out_{N_NODES}"),
+                           n_filter_shards=4, n_frontier_shards=4,
+                           exact_urlseen=False, bloom_capacity=2_000_000,
+                           actor_scheduling="SPREAD",
+                           actor_resources={"crawl_node": 1e-3})
     print(json.dumps({
         "metric": "crawl_1m_pages_bloom_only_nodes", "value": round(dt, 3),
         "unit": "sec", "n_worker_nodes": N_NODES,
@@ -453,10 +334,7 @@ def run_scaling_wide_nodes() -> None:
     the work, on the real multi-node cluster. Interleaved x3, per-level
     min, raw samples printed."""
     _init_ray(NUM_CPUS)
-    from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
-    generate_corpus(CRAWL1M_ROOT, CorpusSpec(
-        n_hosts=10_000, total_pages=1_000_000, page_size=120, seed=43,
-        n_buckets=64, max_details_per_host=800))
+    _gen_crawl1m()
     import ray
     ray.shutdown()
 
@@ -477,237 +355,17 @@ def run_scaling_wide_nodes() -> None:
     }))
 
 
-CRAWL10M_ROOT = os.path.join(BENCH_ROOT, "corpus_crawl10m")
-
-
-def run_crawl10m_mode() -> None:
-    """One-more-decade stress sample (VERDICT r4 'Next round' 5): a
-    10M-page / 100k-host crawl in Bloom-only memory-bounded dedup mode —
-    10x the --crawl1m scale, 50x the standard bench. Evidence the 10^10
-    design point's shape holds: Bloom segments stay O(capacity) per shard
-    (8 shards x 16M keys x 10 bits = 20 MB filter state for a 10^7-URL
-    frontier; at 10^10 the same math is 12.5 GB across a 256-node pool),
-    the wave loop's driver state stays O(wave), and throughput stays
-    scale-flat vs the 1M bench."""
-    from scrapy_ray.config import CrawlConfig
-    from scrapy_ray.pipelines.crawl import CrawlEngine
-    from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
-
-    _init_ray(NUM_CPUS)
-    generate_corpus(CRAWL10M_ROOT, CorpusSpec(
-        n_hosts=100_000, total_pages=10_000_000, page_size=120, seed=44,
-        n_buckets=128, max_details_per_host=800))
-    _warm_workers(NUM_CPUS)
-    time.sleep(8)
-    sink = os.path.join(BENCH_ROOT, f"crawl10m_out_{NUM_CPUS}")
-    if os.path.exists(sink):
-        shutil.rmtree(sink)
-    cfg = CrawlConfig(n_filter_shards=8, n_frontier_shards=8,
-                      per_domain_cap=1 << 20, respect_crawl_delay=False,
-                      exact_urlseen=False, bloom_capacity=16_000_000,
-                      checkpoint_dir=sink, checkpoint_every=1_000_000)
-    eng = CrawlEngine(CRAWL10M_ROOT, cfg)
-    eng.warm()
-    t0 = time.time()
-    eng.seed()
-    while eng.run_wave():
-        pass
-    eng._drain_sinks()
-    dt = time.time() - t0
-    print(json.dumps({
-        "metric": "crawl_10m_pages_bloom_only", "value": round(dt, 3),
-        "unit": "sec", "num_cpus": NUM_CPUS,
-        "pages_fetched": eng.pages_fetched,
-        "waves": len(eng.lineage),
-        "pages_per_sec": round(eng.pages_fetched / dt, 1),
-    }))
-    import ray
-    ray.shutdown()
-
-
-def run_scaling_wide() -> None:
-    """Wide-wave scaling pair (round 4): the 200k-page crawl's 2->8 ratio is
-    Amdahl-bounded by its per-wave serial driver floor (~0.55 s/run over 6
-    small waves — BENCH/BASELINE.md run L decomposition). The 1M-page
-    Bloom-only crawl runs ~9 waves of ~35k urls, amortizing the same floor
-    over 10x the work — THIS pair shows the ratio the parallel fraction
-    actually supports, on the same engine, same protocol (interleaved x2,
-    per-level min, raw samples printed)."""
-    # pre-generate the 1M corpus once (untimed) so subprocesses reuse it
-    _init_ray(NUM_CPUS)
-    from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
-    generate_corpus(CRAWL1M_ROOT, CorpusSpec(
-        n_hosts=10_000, total_pages=1_000_000, page_size=120, seed=43,
-        n_buckets=64, max_details_per_host=800))
-    import ray
-    ray.shutdown()
-
-    lo_n, hi_n = 2, 8
-    lo_runs, hi_runs = [], []
-    for _ in range(3):   # interleaved x3, per-level min — the same protocol
-        lo_runs.append(_sub("--crawl1m", lo_n))   # as --scaling (episodic
-        hi_runs.append(_sub("--crawl1m", hi_n))   # steal needs 3 chances)
-    lo = min(lo_runs, key=lambda r: r["value"])
-    hi = min(hi_runs, key=lambda r: r["value"])
-    eff = (lo["value"] / hi["value"]) / (hi_n / lo_n)
-    print(json.dumps({
-        "lo_cpus": lo_n, "hi_cpus": hi_n,
-        "crawl1m_sec_2": lo["value"], "crawl1m_sec_8": hi["value"],
-        "crawl1m_sec_2_runs": [r["value"] for r in lo_runs],
-        "crawl1m_sec_8_runs": [r["value"] for r in hi_runs],
-        "crawl1m_pages_per_sec_2": lo["pages_per_sec"],
-        "crawl1m_pages_per_sec_8": hi["pages_per_sec"],
-        "crawl1m_scaling_efficiency_2_to_8": round(min(1.0, eff), 3),
-    }))
-
-
-def _warm_query_registry(sf_dir: str) -> None:
-    """Untimed registry/Arrow warmup (VERDICT r4 item 1): import the query
-    modules and push one tiny Dataset through read->map_batches->count so
-    the first TIMED query doesn't pay module import, Ray Data operator
-    compilation, or parquet-footer cache fill."""
-    import pyarrow as pa
-    import ray.data
-
-    import scrapy_ray.pipelines.queries as Q  # noqa: F401
-    import scrapy_ray.pipelines.training  # noqa: F401
-
-    ds = Q._pq(sf_dir, "events", ["event_id"])
-    ds.map_batches(lambda b: b, batch_format="pyarrow").count()
-    _ = pa.table({"x": [1]})
-
-
-def run_full() -> None:
-    _init_ray(NUM_CPUS)
-    ensure_corpora("both")
-    _warm_workers(NUM_CPUS)
-    _warm_query_registry(SF_DIR)
-    t_start = time.time()
-    # Round-5 protocol (BENCH/BASELINE.md): every suite entry is a warm
-    # min-of-2 — crawl x2 (as since round 3) AND each query x2 — and the
-    # reported suite total is wall time MINUS the discarded (non-min)
-    # samples, i.e. the suite as if every entry had hit its floor. A single
-    # cold sample on this oversubscribed box reads 1.4-5x the engine floor
-    # (BENCH_r04 adjudication); raw wall + all samples are still emitted.
-    crawl_runs = [bench_crawl(), bench_crawl()]
-    crawl = min(crawl_runs, key=lambda r: r["sec"])
-    kernel = bench_kernel(NUM_CPUS)
-    queries, query_runs, q_disc = bench_queries(SF_DIR)
-    queries["crawl_200k_pages"] = round(crawl["sec"], 3)
-    queries["featurize_500k_pages"] = round(kernel["sec"], 3)
-    wall = time.time() - t_start
-    discarded = q_disc + sum(r["sec"] for r in crawl_runs) - crawl["sec"]
-    print(json.dumps({
-        "metric": "bench_suite_total",
-        "value": round(wall - discarded, 3),
-        "unit": "sec",
-        "queries": queries,
-        "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
-        "pages_per_sec": round(crawl["pages_per_sec"], 1),
-        "frontier_urls_per_sec": round(crawl["frontier_urls_per_sec"], 1),
-        "crawl_sec_runs": [round(r["sec"], 3) for r in crawl_runs],
-        "query_sec_runs": query_runs,
-        "wall_sec": round(wall, 3),
-        "protocol": "warm min-of-2 per entry; value = wall - discarded "
-                    "non-min samples (BENCH/BASELINE.md round-5 protocol)",
-        "featurize_pages_per_sec": round(kernel["pages_per_sec"], 1),
-    }))
-    import ray
-    ray.shutdown()
-
-
-def _sub(mode: str, ncpu: int) -> dict:
-    env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), mode],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def run_scaling() -> None:
-    """N -> 4N scaling evidence, sandbox protocol (BASELINE.md).
-
-    Primary pair is 2 -> 8 CPUs: this VM's 32 vCPUs are hypervisor-
-    oversubscribed (large /proc/stat steal time; running 32-wide throttles
-    ALL processes for seconds afterwards — measured in BENCH/BASELINE.md),
-    so beyond ~8-16 busy vCPUs wall-time stops reflecting engine behavior.
-    The 8 -> 32 pair is reported as a secondary datapoint with that caveat.
-    On a real multi-node cluster each node owns its cores/membw, so node
-    scaling tracks the contention-free pair.
-
-    The crawl pair runs INTERLEAVED x3 and takes the per-level MIN:
-    episodic hypervisor steal (measured: identical code, 40% wall-time
-    swings minutes apart) otherwise randomizes the ratio; the minimum is
-    the least-contended sample, i.e. closest to true engine cost. All raw
-    samples are printed for transparency."""
-    # pre-generate inputs once (untimed; also warms the page cache)
-    _init_ray(NUM_CPUS)
-    ensure_corpora("both")
-    import ray
-    ray.shutdown()
-
-    lo_n, hi_n, xhi_n = 2, 8, 32
-    res = {"lo_cpus": lo_n, "hi_cpus": hi_n, "contended_cpus": xhi_n}
-    k_lo_runs, k_hi_runs = [], []
-    for _ in range(2):   # kernel pairs interleaved x2, per-level min (see crawl note)
-        k_lo_runs.append(_sub("--kernel", lo_n))
-        k_hi_runs.append(_sub("--kernel", hi_n))
-    k_lo = min(k_lo_runs, key=lambda r: r["value"])
-    k_hi = min(k_hi_runs, key=lambda r: r["value"])
-    k_xhi = _sub("--kernel", xhi_n)
-    eff_k = (k_lo["value"] / k_hi["value"]) / (hi_n / lo_n)
-    eff_k2 = (k_hi["value"] / k_xhi["value"]) / (xhi_n / hi_n)
-    c_lo_runs, c_hi_runs = [], []
-    for _ in range(3):
-        c_lo_runs.append(_sub("--crawl", lo_n))
-        c_hi_runs.append(_sub("--crawl", hi_n))
-    c_lo = min(c_lo_runs, key=lambda r: r["value"])
-    c_hi = min(c_hi_runs, key=lambda r: r["value"])
-    eff_c = (c_lo["value"] / c_hi["value"]) / (hi_n / lo_n)
-    res.update({
-        "kernel_sec_2": k_lo["value"], "kernel_sec_8": k_hi["value"],
-        "kernel_sec_32": k_xhi["value"],
-        "kernel_pages_per_sec_2": k_lo["pages_per_sec"],
-        "kernel_pages_per_sec_8": k_hi["pages_per_sec"],
-        "kernel_pages_per_sec_32": k_xhi["pages_per_sec"],
-        "kernel_sec_2_runs": [r["value"] for r in k_lo_runs],
-        "kernel_sec_8_runs": [r["value"] for r in k_hi_runs],
-        "kernel_scaling_efficiency_2_to_8": round(min(1.0, eff_k), 3),
-        "kernel_scaling_efficiency_8_to_32_contended": round(eff_k2, 3),
-        "crawl_sec_2": c_lo["value"], "crawl_sec_8": c_hi["value"],
-        "crawl_sec_2_runs": [r["value"] for r in c_lo_runs],
-        "crawl_sec_8_runs": [r["value"] for r in c_hi_runs],
-        "crawl_pages_per_sec_2": c_lo["pages_per_sec"],
-        "crawl_pages_per_sec_8": c_hi["pages_per_sec"],
-        "crawl_frontier_urls_per_sec_2": c_lo["frontier_urls_per_sec"],
-        "crawl_frontier_urls_per_sec_8": c_hi["frontier_urls_per_sec"],
-        "crawl_scaling_efficiency_2_to_8": round(min(1.0, eff_c), 3),
-    })
-    print(json.dumps(res))
+MODES = {
+    "--crawl-nodes": run_crawl_nodes_mode,
+    "--kernel-nodes": run_kernel_nodes_mode,
+    "--crawl1m-nodes": run_crawl1m_nodes_mode,
+    "--scaling-nodes": run_scaling_nodes,
+    "--scaling-wide-nodes": run_scaling_wide_nodes,
+}
 
 
 if __name__ == "__main__":
-    if "--scaling-wide-nodes" in sys.argv:
-        run_scaling_wide_nodes()
-    elif "--scaling-wide" in sys.argv:
-        run_scaling_wide()
-    elif "--crawl1m-nodes" in sys.argv:
-        run_crawl1m_nodes_mode()
-    elif "--scaling-nodes" in sys.argv:
-        run_scaling_nodes()
-    elif "--scaling" in sys.argv:
-        run_scaling()
-    elif "--kernel-nodes" in sys.argv:
-        run_kernel_nodes_mode()
-    elif "--kernel" in sys.argv:
-        run_kernel_mode()
-    elif "--crawl10m" in sys.argv:
-        run_crawl10m_mode()
-    elif "--crawl1m" in sys.argv:
-        run_crawl1m_mode()
-    elif "--crawl-nodes" in sys.argv:
-        run_crawl_nodes_mode()
-    elif "--crawl" in sys.argv:
-        run_crawl_mode()
-    else:
-        run_full()
+    mode = sys.argv[1] if len(sys.argv) == 2 else None
+    if mode not in MODES:
+        sys.exit("usage: python bench.py MODE, MODE one of: " + " ".join(MODES))
+    MODES[mode]()

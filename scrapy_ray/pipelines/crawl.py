@@ -20,8 +20,11 @@ Each wave:
    (redirect targets, then retries, each by original seq) -> ``_schedule``:
    one batched anti-join against the URL-seen partitions (url_hash
    routing; retries skip it) and consecutive seqs -> ONE ``end_wave`` RPC
-   per shard actor: session and AutoThrottle updates, push to the frontier
-   partitions (hash(host) routing) and drain the next wave.
+   per shard actor, routed by hash(host): its slices of the new rows and
+   of the fetch tasks' per-host feedback (``FetchResult.hosts``, one
+   ``schemas.HOSTS`` partial per task, which the shard reduces before its
+   session and AutoThrottle updates), then push to its frontier partition
+   and drain the next wave.
 5. every ``checkpoint_every`` waves: that same ``end_wave`` RPC has each
    shard actor checkpoint both of its partitions (queue / clocks, exact
    set / Bloom segment) atomically, and the driver writes a manifest with
@@ -157,7 +160,22 @@ class CrawlEngine:
             link_filter=None if self.link_middlewares else filter_params(cfg))
         self.shards = ShardPool(cfg, read_robots(corpus_root) if cfg.obey_robots else None)
         self.urlseen, self.frontier = self.shards.urlseen, self.shards.frontier
-        # driver-side run state (persisted in the manifest)
+        self._reset_run_state()
+        self._sink_futs: list = []    # pending per-wave _sink_write futures
+        self._sink_pool = None        # lazy single writer thread (_sink)
+        self._seeds: list[dict] | None = None
+        # (wave_idx, [per-shard end_wave futures]) submitted at the END of the
+        # previous wave so shard drains overlap driver sink/metrics work —
+        # the round-4 attack on the per-wave serial floor (VERDICT item 2)
+        self._prefetch: tuple[int, list] | None = None
+        from collections import defaultdict as _dd
+
+        self.phase_times: dict[str, float] = _dd(float)  # driver-side wave phases
+
+    def _reset_run_state(self) -> None:
+        """Driver-side run state of a crawl at wave 0: the counters and
+        lineage persisted in the manifest (state.json), the in-memory sink
+        and the F6 session log."""
         self.wave_idx = 0
         self.next_seq = 0
         self.pages_fetched = 0
@@ -169,17 +187,7 @@ class CrawlEngine:
         self.lineage: list[dict] = []
         self._mem_items: list[pa.Table] = []
         self._mem_order: list[pa.Table] = []
-        self._sink_futs: list = []    # pending per-wave _sink_write futures
-        self._sink_pool = None        # lazy single writer thread (_sink)
-        self._seeds: list[dict] | None = None
         self.session_log: list[tuple[int, int]] = []   # F6: (seq, token)
-        # (wave_idx, [per-shard end_wave futures]) submitted at the END of the
-        # previous wave so shard drains overlap driver sink/metrics work —
-        # the round-4 attack on the per-wave serial floor (VERDICT item 2)
-        self._prefetch: tuple[int, list] | None = None
-        from collections import defaultdict as _dd
-
-        self.phase_times: dict[str, float] = _dd(float)  # driver-side wave phases
 
     # --- checkpoint plumbing (SURVEY §4.2) ---
     # Round-2 rework (ADVICE high): a checkpoint is a VERSIONED directory
@@ -307,17 +315,7 @@ class CrawlEngine:
                     return
                 # no committed checkpoint: full deterministic restart
                 self.shards.reset()
-                self._mem_items, self._mem_order = [], []
-                self.session_log = []
-                self.wave_idx = 0
-                self.next_seq = 0
-                self.pages_fetched = 0
-                self.maxsize_dropped = 0
-                self.maxsize_warned = 0
-                self.error_count = 0
-                self.items_count = 0
-                self.depth_stats = {}
-                self.lineage = []
+                self._reset_run_state()
                 self.seed(self._seeds)
                 return
             except ray.exceptions.ActorUnavailableError as e:
@@ -421,8 +419,14 @@ class CrawlEngine:
                 # a drained-but-unconsumed wave would lose rows silently
                 raise RuntimeError(f"stale wave prefetch {pf_idx} != "
                                    f"{self.wave_idx}")
-            wave = self.frontier.merge_wave(
-                [p for p in ray.get(pf) if p is not None])
+            try:
+                parts = ray.get(pf)
+            except Exception as e:
+                # a non-checkpoint wave's end_wave error surfaces here, one
+                # wave late; same exception type, so recovery still runs
+                e.add_note(f"raised by the end_wave RPC of wave {pf_idx - 1}")
+                raise
+            wave = self.frontier.merge_wave([p for p in parts if p is not None])
         else:
             wave = self.frontier.next_wave(self.wave_idx)
         self.phase_times["next_wave"] += _time.perf_counter() - _t0
@@ -457,29 +461,6 @@ class CrawlEngine:
         self.error_count += fetched.n_err
         self._last_fetch_s = _time.perf_counter() - _t0
         self.phase_times["fetch_parse"] += self._last_fetch_s
-
-        # F4: one deterministic latency sample per host per wave = mean
-        # body bytes / virtual bandwidth (config.py). F6: per-host max-seq
-        # winner across this wave's tasks ("last response wins", Scrapy jar
-        # order). Both ride the end-of-wave shard RPC below.
-        at_hosts: list[str] = []
-        at_lat: list[float] = []
-        if cfg.autothrottle and len(fetched.host_stats):
-            g = (fetched.host_stats.group_by("host")
-                 .aggregate([("n", "sum"), ("nbytes", "sum")]).sort_by("host"))
-            at_hosts = g["host"].to_pylist()
-            at_lat = (g["nbytes_sum"].to_numpy() / g["n_sum"].to_numpy()
-                      / cfg.at_bytes_per_sec).tolist()
-        sess_hosts: list[str] = []
-        sess_tokens: list[int] = []
-        if cfg.cookies and len(fetched.sessions):
-            # ordered aggregation (use_threads=False): "last" of the
-            # seq-sorted rows is each host's max-seq token
-            g = (fetched.sessions.sort_by("seq")
-                 .group_by("host", use_threads=False)
-                 .aggregate([("token", "last")]).sort_by("host"))
-            sess_hosts = g["host"].to_pylist()
-            sess_tokens = g["token_last"].to_pylist()
 
         self.pages_fetched += n_fetched
         if self.item_pipelines:
@@ -516,8 +497,9 @@ class CrawlEngine:
         n_new = len(all_rows)
 
         # --- end-of-wave overlap: advance the wave index, then submit ONE
-        # end_wave RPC per shard actor carrying its slice of the new rows +
-        # session and throttle updates + the optional checkpoint request
+        # end_wave RPC per shard actor carrying its slices of the new rows
+        # and of the fetch tasks' per-host feedback (fetched.hosts, reduced
+        # shard-side) + the optional checkpoint request
         # (both partitions' segments) + the next wave's drain request,
         # applied shard-side in the order sessions → throttle → push →
         # checkpoint → drain (the checkpoint captures pre-drain state). The
@@ -533,8 +515,7 @@ class CrawlEngine:
             os.makedirs(vdir, exist_ok=True)
         _t0 = _time.perf_counter()
         ew_futs = self.frontier.end_wave_async(
-            all_rows, sess_hosts, sess_tokens, vdir,
-            self.wave_idx if want_next else None, at_hosts, at_lat)
+            all_rows, fetched.hosts, vdir, self.wave_idx if want_next else None)
         self.phase_times["frontier_push"] += _time.perf_counter() - _t0
         _t0 = _time.perf_counter()
         entry = self._sink(done_idx, items, order)

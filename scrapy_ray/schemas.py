@@ -112,6 +112,27 @@ CRAWL_ORDER = pa.schema([("seq", pa.int64()), ("wave", pa.int32()), ("url", pa.s
 
 URL_SEEN = pa.schema([("url_hash", pa.uint64()), ("url", pa.string())])
 
+# Per-host feedback of fetched responses, for the frontier shard that owns
+# the host: ``n`` responses of ``nbytes`` body bytes (AutoThrottle, F4) and
+# the ``token`` (url_hash) of the max-``seq`` response (cookies, F6).
+HOSTS = pa.schema([("host", pa.string()), ("n", pa.int64()),
+                   ("nbytes", pa.int64()), ("seq", pa.int64()),
+                   ("token", pa.uint64())])
+
+
+def reduce_hosts(t: pa.Table) -> pa.Table:
+    """One HOSTS row per host of ``t``, sorted by host: ``n`` and ``nbytes``
+    summed, ``seq`` and ``token`` from the max-seq row. Associative, so a
+    fetch task reduces its rows and the owning shard reduces the tasks'
+    partials; the ordered aggregation (use_threads=False) makes "last" of
+    the (host, seq)-sorted rows each host's max-seq row."""
+    g = (t.sort_by([("host", "ascending"), ("seq", "ascending")])
+         .group_by("host", use_threads=False)
+         .aggregate([("n", "sum"), ("nbytes", "sum"), ("seq", "last"),
+                     ("token", "last")]))
+    return pa.table([g["host"], g["n_sum"], g["nbytes_sum"], g["seq_last"],
+                     g["token_last"]], schema=HOSTS)
+
 
 def to_ipc(table: pa.Table) -> pa.Buffer:
     """``table`` as one Arrow IPC stream buffer: the wire format at the

@@ -1,12 +1,11 @@
 """Page featurization stage — the bench's throughput kernel and the model
 web-text feature-extraction pipeline: parse + extract + text stats + sketches
-in one ``map_batches`` pass over raw pages (stateless tasks by default, an
-actor pool on request; see ``featurize_corpus``).
+in one ``map_batches`` pass of stateless tasks over raw pages (see
+``featurize_corpus``).
 
 The ``map_batches`` call takes whole read blocks (no ``batch_size``), so Ray
-Data fuses it with the read into one operator and no block goes through the
-object store between read and featurize. With stateless tasks the write
-fuses too; behind an actor pool only the write is a separate operator.
+Data fuses read, featurize and write into one operator and no block goes
+through the object store between read and featurize.
 
 This is the shape a 100 TB training-data run has: heavy per-page CPU
 (regex extraction, visible text, tokenizing) in a Python row loop, then the
@@ -44,9 +43,9 @@ FEATURES_SCHEMA = pa.schema(
 
 
 class PageFeaturizer:
-    """Callable class: ``map_batches`` UDF, or an actor pool's per-actor state.
-    A call takes a whole read block (up to Ray's 128 MiB) and featurizes it
-    in zero-copy slices of ``SLICE_ROWS`` rows, so the flat token list of one
+    """The featurizer; ``_featurize_task`` keeps one per task worker. A call
+    takes a whole read block (up to Ray's 128 MiB) and featurizes it in
+    zero-copy slices of ``SLICE_ROWS`` rows, so the flat token list of one
     pass stays small; every feature is per page, so the slicing does not
     change the output."""
 
@@ -102,30 +101,23 @@ _TASK_FEATURIZER: PageFeaturizer | None = None
 
 
 def _featurize_task(t: pa.Table) -> pa.Table:
-    """Stateless-task variant: the per-worker featurizer is module-cached, so
-    task workers pay construction once. PageFeaturizer's state is tiny; use
-    the actor-pool form (``concurrency=N``) when the stage holds real state
-    (models/indexes). The read fuses into the pool's operator, so a pool as
-    large as the cluster still runs; only the write waits for a free CPU."""
+    """The ``map_batches`` UDF: the per-worker featurizer is module-cached, so
+    task workers pay construction once."""
     global _TASK_FEATURIZER
     if _TASK_FEATURIZER is None:
         _TASK_FEATURIZER = PageFeaturizer()
     return _TASK_FEATURIZER(t)
 
 
-def featurize_corpus(corpus_root: str, out_dir: str,
-                     concurrency: int | None = None) -> int:
+def featurize_corpus(corpus_root: str, out_dir: str) -> int:
     """Full-corpus streaming pipeline: read (pruned columns) -> featurize ->
-    parquet sink. Returns the rows this call wrote (``write_parquet``
-    appends, so files already in ``out_dir`` are not counted).
-    ``concurrency=None`` = stateless tasks (elastic, default); an int =
-    actor pool of that size."""
+    parquet sink, stateless tasks. Returns the rows this call wrote
+    (``write_parquet`` appends, so files already in ``out_dir`` are not
+    counted)."""
     from scrapy_ray.sources.readers import read_pages
 
     ds = read_pages(corpus_root, columns=["url", "html"])
-    udf = _featurize_task if concurrency is None else PageFeaturizer
-    out = ds.map_batches(udf, batch_format="pyarrow", batch_size=None,
-                         concurrency=concurrency)
+    out = ds.map_batches(_featurize_task, batch_format="pyarrow", batch_size=None)
     before = set(os.listdir(out_dir)) if os.path.isdir(out_dir) else set()
     out.write_parquet(out_dir)
     return sum(pq.read_metadata(os.path.join(out_dir, f)).num_rows

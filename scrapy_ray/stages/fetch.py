@@ -17,9 +17,14 @@ snapshot, cluster size) is one ``FetchPlan``, put in the object store once;
 each task returns one ``FetchResult``. The slice argument and the result's
 tables cross the task boundary as Arrow IPC buffers (``schemas.to_ipc`` /
 ``from_ipc``): a slice ships only its own rows, and no process loads Ray's
-``pa.Table`` serializer (``ray.air``/``ray.data``). Per-host aggregates are
-Arrow ``group_by``; the fetch path calls no pandas. Neither html nor
-per-page list columns ever reach the driver.
+``pa.Table`` serializer (``ray.air``/``ray.data``). The fetch path calls no
+pandas. Neither html nor per-page list columns ever reach the driver.
+
+The per-host feedback of a wave (AutoThrottle response sizes, the cookies
+session token) is one ``schemas.HOSTS`` table: each task reduces its fetched
+rows with ``schemas.reduce_hosts``, keyed by the joined frontier columns
+``host`` and ``url_hash``; the driver only routes the tasks' partials to the
+frontier shard that owns each host, which reduces them the same way.
 
 The downloader middlewares (retry, redirect, meta refresh) send a request
 back as a FRONTIER row that keeps the original request's seq
@@ -45,40 +50,6 @@ import pyarrow.compute as pc
 import ray
 
 from scrapy_ray import schemas
-
-HOST_STATS_SCHEMA = pa.schema([("host", pa.string()), ("n", pa.int64()),
-                               ("nbytes", pa.int64())])
-
-# F6 cookies analogue: per-host session update emitted by each fetch task —
-# (host, seq of the task's last-fetched row for the host, hash64(its url))
-SESSION_SCHEMA = pa.schema([("host", pa.string()), ("seq", pa.int64()),
-                            ("token", pa.uint64())])
-
-
-def _session_updates(t: pa.Table) -> pa.Table:
-    """F6 ([S:cookies.py] analogue): this task's per-host session
-    contribution — the max-seq fetched row per host sets the token to
-    hash64(url), like a server rotating a session cookie per hit. Runs on
-    the joined (page x wave) table at the pages_fetched count point
-    (after the maxsize gate, before status diversion), so EVERY response
-    refreshes the jar, exactly as Set-Cookie applies to redirects too."""
-    from scrapy_ray.functions.hashing import hash64
-
-    if len(t) == 0:
-        return SESSION_SCHEMA.empty_table()
-    seqs = t["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-    hosts = np.asarray(t["host"].to_pylist(), dtype=object)
-    idx = np.lexsort((seqs, hosts))
-    hs = hosts[idx]
-    last = np.r_[hs[1:] != hs[:-1], True]
-    sel = idx[last]
-    urls_all = t["url"].to_pylist()
-    urls = [urls_all[i] for i in sel]
-    return pa.table({"host": pa.array(list(hs[last]), type=pa.string()),
-                     "seq": pa.array(seqs[sel], type=pa.int64()),
-                     "token": pa.array(hash64(urls), type=pa.uint64())},
-                    schema=SESSION_SCHEMA)
-
 
 _REQUEUE_RESET = {"parent_url": "", "dont_filter": False, "retries": 0,
                   "redirects": 0}
@@ -198,8 +169,8 @@ def _maxsize_split(t: pa.Table, maxsize: int, warnsize: int) -> tuple:
     """DOWNLOAD_MAXSIZE / DOWNLOAD_WARNSIZE gate ([S:http11.py
     _ResponseReader]): oversized bodies abort BEFORE any downloader
     middleware sees them — applied to the raw stored bytes ahead of the
-    frontier join, host stats, retry/redirect/meta-refresh splits and the
-    parse. warnsize counts every body over the threshold (dropped ones
+    frontier join, per-host feedback, retry/redirect/meta-refresh splits and
+    the parse. warnsize counts every body over the threshold (dropped ones
     included — Scrapy warns while streaming, before it knows the final
     size). Returns (kept_table, n_dropped, n_warned)."""
     ln = pc.binary_length(t["html"])
@@ -211,21 +182,6 @@ def _maxsize_split(t: pa.Table, maxsize: int, warnsize: int) -> tuple:
     keep = pc.less_equal(ln, maxsize)
     n_drop = len(t) - int(pc.sum(keep).as_py() or 0)
     return (t.filter(keep) if n_drop else t), n_drop, n_warn
-
-
-def _host_stats(t: pa.Table) -> pa.Table:
-    """Per-host (responses, body bytes) partial for this task's fetched rows,
-    sorted by host — the deterministic virtual-latency signal for
-    AutoThrottle (F4)."""
-    from scrapy_ray.functions.urlnorm import hosts_of
-
-    g = pa.table({
-        "host": pa.array(hosts_of(t["url"].to_pylist()), type=pa.string()),
-        "nbytes": pc.binary_length(t["html"]).cast(pa.int64()),
-    }).group_by("host").aggregate([("nbytes", "count"), ("nbytes", "sum")]) \
-        .sort_by("host")
-    return pa.table([g["host"], g["nbytes_count"], g["nbytes_sum"]],
-                    schema=HOST_STATS_SCHEMA)
 
 
 def _schema_names(path: str) -> list[str]:
@@ -264,13 +220,13 @@ class FetchPlan:
     n_buckets: int
     cpus: int                        # cluster CPUs; sets the task chunk
     registry: tuple                  # (PAGE_HANDLERS, URL_ROUTES, CRAWL_RULES)
-    want_stats: bool                 # AutoThrottle per-host stats (F4)
+    want_hosts: bool                 # per-host feedback (F4 AutoThrottle,
+                                     # F6 cookies): FetchResult.hosts
     retry: tuple | None              # (retry_codes, retry_max, priority adjust)
     redirect: tuple | None           # (redirect_codes, redirect_max)
     metarefresh: tuple | None        # (maxdelay, redirect_max)
     maxsize: tuple | None            # (download_maxsize, download_warnsize)
     allowed_statuses: tuple          # handle_httpstatus_list
-    want_sessions: bool              # cookies analogue (F6)
     link_filter: tuple | None        # in-task M7/M8/M9 pack (filter_params)
 
     @classmethod
@@ -309,7 +265,7 @@ class FetchPlan:
             # worker processes never see driver-side registrations, so the
             # tasks read this snapshot (registry.py, SURVEY §2.10)
             registry=(dict(PAGE_HANDLERS), list(URL_ROUTES), list(CRAWL_RULES)),
-            want_stats=cfg.autothrottle,
+            want_hosts=cfg.autothrottle or cfg.cookies,
             retry=((cfg.retry_codes, cfg.retry_max, cfg.retry_priority_adjust)
                    if cfg.retry_max else None),
             redirect=((cfg.redirect_codes, cfg.redirect_max)
@@ -321,7 +277,6 @@ class FetchPlan:
                      if (cfg.download_maxsize or cfg.download_warnsize)
                      else None),
             allowed_statuses=tuple(cfg.handle_httpstatus_list),
-            want_sessions=cfg.cookies,
             link_filter=link_filter)
 
     @functools.cached_property
@@ -334,27 +289,27 @@ class FetchPlan:
 class FetchResult(NamedTuple):
     """One fetch task's output; ``fetch_parse_wave`` merges a wave's task
     results, field by field, into one. items, links and n_fetched stay the
-    first three fields: tracers read them by position. ``requeue`` holds
-    the requests the downloader middlewares send back to the frontier
-    (retries, 3xx redirect and meta-refresh targets) as FRONTIER rows
-    that keep the original request's seq."""
+    first three fields: tracers read them by position. ``hosts`` holds the
+    task's per-host feedback (``schemas.reduce_hosts`` of its fetched rows;
+    merged results hold one partial per task, a host may repeat).
+    ``requeue`` holds the requests the downloader middlewares send back to
+    the frontier (retries, 3xx redirect and meta-refresh targets) as
+    FRONTIER rows that keep the original request's seq."""
 
     items: pa.Table
     links: pa.Table                  # unsorted across tasks
     n_fetched: int
-    host_stats: pa.Table             # HOST_STATS_SCHEMA
+    hosts: pa.Table                  # schemas.HOSTS, one partial per task
     requeue: pa.Table                # FRONTIER, unsorted across tasks
     n_maxsize_drop: int
     n_maxsize_warn: int
     n_err: int                       # CLOSESPIDER_ERRORCOUNT input
-    sessions: pa.Table               # SESSION_SCHEMA
 
     @classmethod
     def empty(cls) -> "FetchResult":
         return cls(schemas.ITEMS.empty_table(), schemas.LINKS.empty_table(), 0,
-                   HOST_STATS_SCHEMA.empty_table(),
-                   schemas.FRONTIER.empty_table(), 0, 0, 0,
-                   SESSION_SCHEMA.empty_table())
+                   schemas.HOSTS.empty_table(),
+                   schemas.FRONTIER.empty_table(), 0, 0, 0)
 
     def to_ipc(self) -> "FetchResult":
         """This result with every table as an IPC buffer: the task's wire
@@ -418,13 +373,18 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
         t, nd, nw = _maxsize_split(t, *plan.maxsize)
     if len(t) == 0:
         return FetchResult.empty()._replace(n_maxsize_drop=nd, n_maxsize_warn=nw)
-    stats = _host_stats(t) if plan.want_stats else HOST_STATS_SCHEMA.empty_table()
     t = t.join(sub, keys="url", join_type="inner")
     n_fetched = len(t)    # BEFORE the meta-refresh split removes rows — a
                           # diverted interstitial is still a fetched page
                           # (simulator counts at the same point)
-    sess = (_session_updates(t) if plan.want_sessions
-            else SESSION_SCHEMA.empty_table())
+    hosts = schemas.HOSTS.empty_table()
+    if plan.want_hosts:
+        # every fetched response, redirects and interstitials included:
+        # url_hash is hash64 of the url, the F6 session token
+        hosts = schemas.reduce_hosts(pa.table(
+            [t["host"], pa.repeat(pa.scalar(1, pa.int64()), len(t)),
+             pc.binary_length(t["html"]).cast(pa.int64()), t["seq"],
+             t["url_hash"]], schema=schemas.HOSTS))
     requeue = []
     if plan.retry is not None:
         requeue.append(_retry_rows(t, *plan.retry))
@@ -451,8 +411,8 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
         from scrapy_ray.stages.links import filter_links_p
 
         links = filter_links_p(links, plan.link_filter)
-    return FetchResult(split_items(parsed), links, n_fetched, stats, requeue,
-                       nd, nw, n_err, sess)
+    return FetchResult(split_items(parsed), links, n_fetched, hosts, requeue,
+                       nd, nw, n_err)
 
 
 def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:

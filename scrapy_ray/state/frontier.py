@@ -194,8 +194,9 @@ class FrontierShard:
 
     def update_sessions(self, hosts: list[str], tokens: list[int]) -> None:
         """F6: overwrite each host's session token with this wave's value
-        (the engine pre-reduced to the max-seq response per host; wave
-        order means a later wave always wins, like a rotating Set-Cookie)."""
+        (CrawlShard.end_wave reduced it to the max-seq response per host;
+        wave order means a later wave always wins, like a rotating
+        Set-Cookie)."""
         for h, tok in zip(hosts, tokens):
             self.sessions[h] = int(tok)
 
@@ -469,17 +470,10 @@ class ShardedFrontier:
     def push(self, rows: pa.Table) -> int:
         """Route rows to their host's shard and wait for every push; returns
         the number of rows the shards accepted."""
-        if len(rows) == 0:
-            return 0
-        shard = host_shard(rows["host"].to_pylist(), self.n_shards)
-        futs = []
-        for s in range(self.n_shards):
-            idx = np.nonzero(shard == s)[0]
-            if len(idx):
-                futs.append(self.shards[s].call.remote(
-                    "frontier", "push", schemas.to_ipc(rows.take(pa.array(idx))),
-                    epoch=self._pool.epoch))
-        return sum(ray.get(futs))
+        return sum(ray.get([
+            self.shards[s].call.remote("frontier", "push", part,
+                                       epoch=self._pool.epoch)
+            for s, part in enumerate(self._route(rows)) if part is not None]))
 
     def sessions(self) -> dict[str, int]:
         """Merged host -> session-token map (disjoint by host partitioning)."""
@@ -489,58 +483,42 @@ class ShardedFrontier:
             out.update(d)
         return out
 
-    def _by_host(self, hosts: list[str], values: list) -> list[tuple]:
-        """Per pool actor, the (hosts, values) lists of the hosts its
-        frontier partition owns, or (None, None)."""
-        out = [(None, None)] * len(self._pool.actors)
-        if hosts:
-            shard = host_shard(hosts, self.n_shards)
+    def _route(self, t: pa.Table | None) -> list:
+        """Per pool actor, the IPC slice of the rows of ``t`` (FRONTIER or
+        HOSTS) whose host its frontier partition owns, or None."""
+        out = [None] * len(self._pool.actors)
+        if t is not None and len(t):
+            shard = host_shard(t["host"].to_pylist(), self.n_shards)
             for s in np.unique(shard).tolist():
-                idx = np.flatnonzero(shard == s).tolist()
-                out[s] = ([hosts[i] for i in idx], [values[i] for i in idx])
+                out[s] = schemas.to_ipc(t.take(pa.array(np.flatnonzero(shard == s))))
         return out
 
-    def end_wave_async(self, rows: pa.Table | None, sess_hosts: list[str],
-                       sess_tokens: list[int], ckpt_dir: str | None,
-                       next_wave_idx: int | None, at_hosts: list[str],
-                       at_latencies: list[float]) -> list:
+    def end_wave_async(self, rows: pa.Table | None, hosts: pa.Table | None,
+                       ckpt_dir: str | None, next_wave_idx: int | None) -> list:
         """Submit the merged end-of-wave RPC (CrawlShard.end_wave) — ONE
-        submission per actor carrying that actor's new rows + session and
-        AutoThrottle updates + the optional checkpoint/drain requests, in
-        one loop. A checkpoint request goes to EVERY actor of
-        the pool, including those that hold only a URL-seen partition (they
-        get no rows and no drain). Actors with no payload and no request are
-        skipped. Returns futures; a future resolves to the actor's next-wave
-        part (an IPC buffer, see merge_wave), or None when it was not asked
-        to drain.
+        submission per actor carrying that actor's slices of the new rows
+        and of the wave's per-host feedback (``hosts``, schemas.HOSTS) +
+        the optional checkpoint/drain requests. A checkpoint request goes
+        to EVERY actor of the pool, including those that hold only a
+        URL-seen partition (they get no rows and no drain). Actors with no
+        payload and no request are skipped. Returns futures; a future
+        resolves to the actor's next-wave part (an IPC buffer, see
+        merge_wave), or None when it was not asked to drain.
 
-        Errors surface when the futures are read. On a checkpoint wave the
-        engine reads them before the commit; otherwise only when the next
-        wave consumes the prefetch, so a shard push error such as
-        StaleShardError is raised one wave late, after the pushing wave's
-        sink, lineage and metrics have advanced, and is attributed to the
-        wrong wave. Recovery is unaffected: it rolls every shard back to
-        the last committed checkpoint either way."""
-        row_shard = None
-        if rows is not None and len(rows):
-            row_shard = host_shard(rows["host"].to_pylist(), self.n_shards)
-        sess = self._by_host(sess_hosts, sess_tokens)
-        throttle = self._by_host(at_hosts, at_latencies)
+        Errors surface when the futures are read: on a checkpoint wave
+        before the commit, otherwise when the next wave consumes the
+        prefetch; ``CrawlEngine.run_wave`` then notes the wave whose
+        end_wave raised. Recovery rolls every shard back to the last
+        committed checkpoint either way."""
         futs = []
-        for s, actor in enumerate(self._pool.actors):
-            srows = None
-            if row_shard is not None:
-                idx = np.nonzero(row_shard == s)[0]
-                if len(idx):
-                    srows = schemas.to_ipc(rows.take(pa.array(idx)))
-            sh, st = sess[s]
-            ah, al = throttle[s]
+        for s, (srows, shosts) in enumerate(zip(self._route(rows),
+                                                self._route(hosts))):
             drain = next_wave_idx if s < self.n_shards else None
-            if (srows is None and sh is None and ah is None
-                    and ckpt_dir is None and drain is None):
+            if (srows is None and shosts is None and ckpt_dir is None
+                    and drain is None):
                 continue
-            futs.append(actor.end_wave.remote(
-                srows, sh, st, ckpt_dir, drain, ah, al, epoch=self._pool.epoch))
+            futs.append(self._pool.actors[s].end_wave.remote(
+                srows, shosts, ckpt_dir, drain, epoch=self._pool.epoch))
         return futs
 
     def merge_wave(self, parts: list) -> pa.Table:

@@ -63,25 +63,31 @@ class CrawlShard:
         out = getattr(getattr(self, part), method)(*map(schemas.from_ipc, args))
         return schemas.to_ipc(out) if isinstance(out, pa.Table) else out
 
-    def end_wave(self, rows: pa.Buffer | None, sess_hosts: list[str] | None,
-                 sess_tokens: list[int] | None, ckpt_dir: str | None,
-                 next_wave_idx: int | None, at_hosts: list[str] | None = None,
-                 at_latencies: list[float] | None = None,
+    def end_wave(self, rows: pa.Buffer | None, hosts: pa.Buffer | None,
+                 ckpt_dir: str | None, next_wave_idx: int | None,
                  epoch: int | None = None) -> pa.Buffer | None:
-        """End-of-wave combined op: apply the wave's session and AutoThrottle
-        updates, enqueue its new rows, optionally write BOTH partitions'
-        checkpoint segments, and optionally drain the next wave — in that
-        order (sessions → throttle → push → checkpoint → drain), so the
-        checkpoint captures post-push, pre-drain state. Only the drain and
-        the checkpoint read the throttle delays. The frontier arguments are
-        None on an actor that holds only a URL-seen partition; it still
-        checkpoints. ``rows`` and the drained wave are IPC buffers."""
+        """End-of-wave combined op: apply the wave's per-host feedback
+        (``hosts``: the fetch tasks' ``schemas.HOSTS`` partials for the
+        hosts this frontier partition owns), enqueue its new rows,
+        optionally write BOTH partitions' checkpoint segments, and
+        optionally drain the next wave — in that order (sessions → throttle
+        → push → checkpoint → drain), so the checkpoint captures post-push,
+        pre-drain state. Only the drain and the checkpoint read the throttle
+        delays. The frontier arguments are None on an actor that holds only
+        a URL-seen partition; it still checkpoints. ``rows``, ``hosts`` and
+        the drained wave are IPC buffers."""
         self._guard(epoch)
         rows = schemas.from_ipc(rows)
-        if sess_hosts:
-            self.frontier.update_sessions(sess_hosts, sess_tokens)
-        if at_hosts:
-            self.frontier.update_throttle(at_hosts, at_latencies)
+        if hosts is not None:
+            h = schemas.reduce_hosts(schemas.from_ipc(hosts))
+            names, cfg = h["host"].to_pylist(), self.frontier.cfg
+            if cfg.cookies:
+                self.frontier.update_sessions(names, h["token"].to_pylist())
+            if cfg.autothrottle:
+                # virtual latency: mean response bytes / bandwidth (config.py)
+                self.frontier.update_throttle(names, (
+                    h["nbytes"].to_numpy() / h["n"].to_numpy()
+                    / cfg.at_bytes_per_sec).tolist())
         if rows is not None and len(rows):
             self.frontier.push(rows)
         if ckpt_dir is not None:

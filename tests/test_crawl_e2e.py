@@ -169,9 +169,9 @@ def _fetch_plan(root: str, cfg: CrawlConfig):
 
 def _canonical(res) -> list:
     """A FetchResult with task boundaries erased: each table's rows sorted,
-    the per-task partial aggregates reduced the way the wave loop reduces
-    them (host_stats summed per host, sessions' max-seq row per host);
-    counts as they are."""
+    the per-task ``hosts`` partials reduced the way the owning shard
+    reduces them (n and nbytes summed per host, seq and token from the
+    host's max-seq row), here in plain Python; counts as they are."""
     import pyarrow as pa
 
     out = []
@@ -180,18 +180,15 @@ def _canonical(res) -> list:
             out.append((name, v))
             continue
         rows = v.to_pylist()
-        if name == "host_stats":
+        if name == "hosts":
             acc: dict = {}
             for r in rows:
-                n, b = acc.get(r["host"], (0, 0))
-                acc[r["host"]] = (n + r["n"], b + r["nbytes"])
-            rows = [{"host": h, "n": n, "nbytes": b} for h, (n, b) in acc.items()]
-        elif name == "sessions":
-            last: dict = {}
-            for r in rows:
-                if r["seq"] > last.get(r["host"], {"seq": -1})["seq"]:
-                    last[r["host"]] = r
-            rows = list(last.values())
+                h = acc.setdefault(r["host"], dict(r, n=0, nbytes=0))
+                h["n"] += r["n"]
+                h["nbytes"] += r["nbytes"]
+                if r["seq"] > h["seq"]:
+                    h["seq"], h["token"] = r["seq"], r["token"]
+            rows = list(acc.values())
         out.append((name, str(v.schema),
                      sorted(repr(sorted(r.items())) for r in rows)))
     return out

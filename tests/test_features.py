@@ -1,9 +1,10 @@
 """The featurize scan through Ray Data (``stages/features.py featurize_corpus``).
 
-- the stateless-task and the actor-pool paths write one row per corpus page,
-  equal to ``PageFeaturizer`` over the whole corpus read with pyarrow;
-- the read and the featurizer run as one fused ``ReadParquet->MapBatches``
-  operator (no ``batch_size`` on the map);
+- the scan writes one row per corpus page, equal to ``PageFeaturizer`` over
+  the whole corpus read with pyarrow;
+- the read, the featurizer and the write run as one fused
+  ``ReadParquet->MapBatches(_featurize_task)->Write`` operator (no
+  ``batch_size`` on the map);
 - the return value counts only the rows of this call, also when the sink
   directory already holds an earlier call's files.
 """
@@ -35,8 +36,7 @@ def _rows(t: pa.Table) -> list[tuple]:
     return [tuple("nan" if v != v else v for v in r.values()) for r in t.to_pylist()]
 
 
-def _featurize_capturing_plan(monkeypatch, corpus: str, out: str,
-                              concurrency: int | None) -> tuple[int, str]:
+def _featurize_capturing_plan(monkeypatch, corpus: str, out: str) -> tuple[int, str]:
     """featurize_corpus's return value and the executed plan's stats."""
     import ray.data
 
@@ -50,25 +50,23 @@ def _featurize_capturing_plan(monkeypatch, corpus: str, out: str,
         return write_parquet(self, *args, **kwargs)
 
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
-    n = featurize_corpus(corpus, out, concurrency=concurrency)
+    n = featurize_corpus(corpus, out)
     (ds,) = written
     return n, ds._write_ds.stats()
 
 
-@pytest.mark.parametrize("concurrency", [None, 2])
 def test_featurize_corpus_fused_scan_matches_featurizer(ray_session, feat_corpus,
-                                                        tmp_path, monkeypatch,
-                                                        concurrency):
+                                                        tmp_path, monkeypatch):
     from scrapy_ray.stages.features import FEATURES_SCHEMA, PageFeaturizer
 
     corpus, pages = feat_corpus
     out = str(tmp_path / "features")
-    n, stats = _featurize_capturing_plan(monkeypatch, corpus, out, concurrency)
+    n, stats = _featurize_capturing_plan(monkeypatch, corpus, out)
     assert n == len(pages)
     sink = pq.read_table(out, schema=FEATURES_SCHEMA)
     assert _rows(sink) == _rows(PageFeaturizer()(pages))
     first_op = next(line for line in stats.splitlines() if line.startswith("Operator 1 "))
-    assert "ReadParquet->MapBatches(" in first_op, stats
+    assert "ReadParquet->MapBatches(_featurize_task)->Write" in first_op, stats
 
 
 def test_featurize_corpus_counts_only_this_write(ray_session, feat_corpus, tmp_path):

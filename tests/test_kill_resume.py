@@ -161,3 +161,32 @@ def test_shard_kill_recovery_no_checkpoint(ray_session, e2e_corpus):
     assert k.killed
     assert res.crawl_order.to_pydict() == full.crawl_order.to_pydict()
     assert res.items.sort_by("url").equals(full.items.sort_by("url"))
+
+
+def test_late_shard_error_names_its_wave(ray_session, e2e_corpus):
+    """A shard error raised by a non-checkpoint wave's end_wave surfaces when
+    the next wave reads the prefetch. It keeps a type run_crawl's recovery
+    catches and carries a note naming the wave whose end_wave raised. Actor
+    2 holds only a frontier partition, so no URL-seen RPC reaches the
+    revived actor before that end_wave."""
+    import ray
+    import ray.exceptions
+
+    from scrapy_ray.pipelines.crawl import CrawlEngine
+    from scrapy_ray.state.errors import StaleShardError
+
+    eng = CrawlEngine(e2e_corpus, CrawlConfig(n_filter_shards=2, n_frontier_shards=3))
+    try:
+        eng.seed()
+        for _ in range(2):
+            assert eng.run_wave()
+        ray.get(eng._prefetch[1])   # wave 2's parts are drained before the kill
+        ray.kill(eng.frontier.shards[2], no_restart=False)
+        assert eng.run_wave()       # wave 2; its end_wave reaches the revived actor
+        with pytest.raises((StaleShardError, ray.exceptions.RayActorError,
+                            ray.exceptions.ActorUnavailableError)) as err:
+            eng.run_wave()
+    finally:
+        for a in eng.shards.actors:
+            ray.kill(a, no_restart=True)
+    assert "raised by the end_wave RPC of wave 2" in err.value.__notes__

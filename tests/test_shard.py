@@ -1,6 +1,7 @@
 """The merged shard actor (state/shard.py): CrawlShard as a plain class (epoch
 guard, reset, checkpoint round-trips for shards that hold only one of the
-two partitions), the fail-fast shard-count and config checks, the pool
+two partitions, the per-host feedback ``end_wave`` reduces with
+``schemas.reduce_hosts``), the fail-fast shard-count and config checks, the pool
 layout the engine builds, the IPC wire format its RPCs use, and the
 libraries a shard process loads."""
 
@@ -34,6 +35,11 @@ def _rows(hosts: list[str], seq0: int = 0) -> pa.Table:
     }, schema=schemas.FRONTIER)
 
 
+def _hosts(rows: list[tuple]) -> pa.Table:
+    """HOSTS table from (host, n, nbytes, seq, token) tuples."""
+    return pa.table(list(map(list, zip(*rows))), schema=schemas.HOSTS)
+
+
 def _hashes(lo: int, hi: int):
     h = np.arange(lo, hi, dtype=np.uint64) * np.uint64(2654435761)
     return h, [f"https://u/{int(x)}" for x in h]
@@ -65,7 +71,8 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     assert sh.call("urlseen", "check_and_add", h, u, epoch=4).all()
     assert sh.call("frontier", "push", rows, epoch=4) == 40
     sh.call("frontier", "update_throttle", ["h0"], np.array([1.0]), epoch=4)
-    sh.end_wave(None, ["h0"], [7], None, 0, epoch=4)
+    sh.end_wave(None, schemas.to_ipc(_hosts([("h0", 1, 100, 3, 7)])), None, 0,
+                epoch=4)
     used = sh.stats(epoch=4)
     assert used["frontier"]["spilled_rows_total"] > 0
     assert used["urlseen"]["bloom_fill"] > 0
@@ -82,7 +89,7 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     assert su.frontier is None and su.urlseen is not None
     su.call("urlseen", "check_and_add", *_hashes(0, 50))
     ck_u = str(tmp_path / "ck_u")
-    assert su.end_wave(None, None, None, ck_u, None) is None
+    assert su.end_wave(None, None, ck_u, None) is None
     assert sorted(os.listdir(ck_u)) == ["bloom_2.bin", "urlseen_2.parquet",
                                         "urlseen_meta_2.json"]
     ru = CrawlShard(2, cfg_u)
@@ -107,6 +114,66 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     rf.restore(ck_f)
     assert rf.stats() == sf.stats()
     assert rf.call("frontier", "next_wave", 1).equals(sf.call("frontier", "next_wave", 1))
+
+
+def test_reduce_hosts_is_an_associative_per_host_reduce():
+    """One host's partials split across "tasks" with out-of-order seqs:
+    n and nbytes sum, the max-seq row's seq and token win, the output is
+    sorted by host, and reducing reduced partials gives the same table."""
+    rows = [("b.example", 1, 10, 7, 70), ("a.example", 2, 5, 4, 40),
+            ("b.example", 1, 30, 2, 20), ("c.example", 1, 1, 0, 5),
+            ("b.example", 3, 60, 9, 90), ("a.example", 1, 7, 11, 110),
+            ("b.example", 1, 5, 8, 80)]
+    want = _hosts([("a.example", 3, 12, 11, 110), ("b.example", 6, 105, 9, 90),
+                   ("c.example", 1, 1, 0, 5)])
+    assert schemas.reduce_hosts(_hosts(rows)).equals(want)
+    tasks = [rows[0:2], rows[2:5], rows[5:]]
+    partials = pa.concat_tables([schemas.reduce_hosts(_hosts(t)) for t in tasks])
+    assert partials.num_rows > want.num_rows
+    backwards = partials.take(pa.array(np.arange(partials.num_rows)[::-1]))
+    assert schemas.reduce_hosts(backwards).equals(want)
+    assert schemas.reduce_hosts(want).equals(want)
+    assert schemas.reduce_hosts(schemas.HOSTS.empty_table()).equals(
+        schemas.HOSTS.empty_table())
+
+
+def test_end_wave_applies_the_host_table_like_the_old_driver_reduce(tmp_path):
+    """A shard fed one HOSTS slice per wave ends with the same AutoThrottle
+    delays and session tokens, in the same insertion order and with the same
+    clock checkpoint bytes, as one whose ``update_throttle`` and
+    ``update_sessions`` get the per-host values the driver used to reduce:
+    latency = summed nbytes / summed n / at_bytes_per_sec, the max-seq token,
+    hosts sorted."""
+    import json
+
+    cfg = CrawlConfig(n_filter_shards=1, n_frontier_shards=1, autothrottle=True,
+                      cookies=True, at_bytes_per_sec=3000.0)
+    waves = [[("m.example", 2, 9000, 5, 55), ("b.example", 1, 1200, 1, 11),
+              ("m.example", 1, 800, 9, 99), ("b.example", 3, 300, 0, 10)],
+             [("z.example", 1, 4000, 12, 120), ("a.example", 2, 100, 14, 140),
+              ("m.example", 1, 50, 13, 130)]]
+    new, old = CrawlShard(0, cfg), CrawlShard(0, cfg)
+    for w in waves:
+        assert new.end_wave(None, schemas.to_ipc(_hosts(w)), None, None) is None
+        acc: dict = {}
+        for host, n, nbytes, seq, token in w:
+            a = acc.setdefault(host, [0, 0, -1, 0])
+            a[0] += n
+            a[1] += nbytes
+            if seq > a[2]:
+                a[2], a[3] = seq, token
+        hosts = sorted(acc)
+        old.frontier.update_sessions(hosts, [acc[h][3] for h in hosts])
+        old.frontier.update_throttle(hosts, (
+            np.array([acc[h][1] for h in hosts]) / np.array([acc[h][0] for h in hosts])
+            / cfg.at_bytes_per_sec).tolist())
+    assert list(new.frontier.at_delay.items()) == list(old.frontier.at_delay.items())
+    assert list(new.frontier.sessions.items()) == list(old.frontier.sessions.items())
+    assert new.frontier.sessions["m.example"] == 130
+    for sh, d in ((new, "new"), (old, "old")):
+        sh.checkpoint(str(tmp_path / d))
+    clock = [(tmp_path / d / "clock_0.json").read_bytes() for d in ("new", "old")]
+    assert clock[0] == clock[1] and json.loads(clock[0])["at_delay"]
 
 
 @pytest.mark.parametrize("field", ["n_filter_shards", "n_frontier_shards"])
@@ -191,7 +258,8 @@ def test_ipc_wire_format_round_trip():
 
 
 def test_crawl_shard_loads_no_unused_libraries(ray_session, e2e_corpus, tmp_path):
-    """After a crawl (cookies and checkpoints on, so every RPC kind ran), no
+    """After a crawl (cookies, AutoThrottle and checkpoints on, so every RPC
+    kind ran and the shards reduced per-host feedback), no
     CrawlShard process holds polars, ray.air or ray.data, and none of
     pandas, polars, ray.air or ray.data was first imported after
     ``eng.warm()``: warm() is what loads pandas (pyarrow's shim), so that
@@ -208,7 +276,8 @@ def test_crawl_shard_loads_no_unused_libraries(ray_session, e2e_corpus, tmp_path
                       if any(m == p or m.startswith(p + ".") for p in libs))
 
     cfg = CrawlConfig(n_filter_shards=2, n_frontier_shards=2, cookies=True,
-                      checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=2)
+                      autothrottle=True, checkpoint_dir=str(tmp_path / "ckpt"),
+                      checkpoint_every=2)
     eng = CrawlEngine(e2e_corpus, cfg)
     try:
         eng.warm()
