@@ -18,7 +18,6 @@ import re
 _HEAD = re.compile(rb"<head>.*?</head>", re.S)
 _SCRIPT = re.compile(rb"<(script|style)\b.*?</\1>", re.S)
 _TAG = re.compile(rb"<[^>]+>")
-_WS = re.compile(r"\s+")
 
 
 def visible_text(html: bytes) -> str:
@@ -26,7 +25,8 @@ def visible_text(html: bytes) -> str:
     unescape entities, collapse whitespace. Deterministic, byte-stable."""
     body = _SCRIPT.sub(b" ", _HEAD.sub(b" ", html))
     txt = _TAG.sub(b" ", body).decode("utf-8", errors="replace")
-    return _WS.sub(" ", _html.unescape(txt)).strip()
+    # str.split() splits on exactly the code points regex \s matches
+    return " ".join(_html.unescape(txt).split())
 
 
 # --- template field extractors (listing + detail pages, FIXTURES.md §1.2) ---

@@ -1,6 +1,8 @@
 """Per-batch parse and sketch kernels against per-page reference definitions.
 
 - ``urljoin_many`` (fast paths) vs ``urllib.parse.urljoin``, property-tested;
+- ``visible_text``'s ``str.split`` whitespace collapse vs the regex form,
+  property-tested;
 - the flat MinHash/SimHash kernels vs ``minhash_signature`` and a bit-loop
   SimHash, including empty pages and duplicate hashes;
 - ``PageFeaturizer`` rows vs sketches built page by page;
@@ -10,6 +12,7 @@
 from __future__ import annotations
 
 import glob
+import html as _html
 import re
 from urllib.parse import urljoin
 
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from scrapy_ray.functions import sketch, urlnorm
+from scrapy_ray.functions import htmlx, sketch, urlnorm
 from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.functions.htmlx import base_url, extract_links, visible_text
 from scrapy_ray.functions.sketch import (_MERSENNE, minhash_flat, minhash_many,
@@ -109,6 +112,36 @@ def test_urljoin_fast_paths_cover_crawl_links(monkeypatch):
 
     monkeypatch.setattr(urlnorm, "urljoin", boom)
     assert urljoin_many(base, hrefs) == want
+
+
+# ------------------------------------------------------------ visible text
+
+def _visible_text_regex(html: bytes) -> str:
+    """``visible_text`` with its whitespace collapse written as a regex."""
+    body = htmlx._SCRIPT.sub(b" ", htmlx._HEAD.sub(b" ", html))
+    txt = htmlx._TAG.sub(b" ", body).decode("utf-8", errors="replace")
+    return re.sub(r"\s+", " ", _html.unescape(txt)).strip()
+
+
+# every code point regex \s matches, the separators it does not (U+200B,
+# U+FEFF, U+180E), entities that unescape to whitespace, tags and bytes
+# that are not UTF-8
+_SPACES = [chr(c) for c in range(0x110000) if re.match(r"\s", chr(c))]
+_HTML_PIECES = ([c.encode() for c in _SPACES + ["\u200b", "\ufeff", "\u180e"]]
+                + [b"&nbsp;", b"&#x2003;", b"&#10;", b"&emsp;", b"&amp;", b"<p>",
+                   b"</b>", b"<head><title>t</title></head>",
+                   b"<script>s\n</script>", b"<style> </style>", b"\xff", b"\xe2\x80"])
+
+
+@seed(20261019)
+@settings(max_examples=600, deadline=None, database=None)
+@example(html=b"".join(c.encode() for c in _SPACES))
+@example(html=b"  a\t\x1c b\xc2\x85c\xe3\x80\x80 ")
+@given(html=st.lists(st.one_of(st.sampled_from(_HTML_PIECES),
+                               st.text(max_size=3).map(str.encode)),
+                     max_size=12).map(b"".join))
+def test_visible_text_matches_regex_collapse(html):
+    assert visible_text(html) == _visible_text_regex(html)
 
 
 # ------------------------------------------------------------ sketch kernels
