@@ -159,13 +159,16 @@ class CrawlConfig:
     # engine layout
     n_filter_shards: int = 4         # URL-seen shards, key = url_hash % n
     n_frontier_shards: int = 4       # frontier shards, key = hash64(host) % n
-    exact_urlseen: bool = True       # keep the exact hash->url set (test scale /
-                                     # byte-exact verification); False = Bloom-only
-                                     # memory-bounded mode (the 10^10-URL path,
-                                     # accepts the ~0.8% fp re-crawl-suppression)
-    bloom_bits_per_key: int = 10
-    bloom_capacity: int = 1_000_000  # per shard; sized for test scale — at 1e10
-                                     # URLs total, shards scale out (SURVEY §2.3 F1)
+    exact_urlseen: bool = True       # each URL-seen shard holds ONE structure:
+                                     # True = the exact hash->url set (byte-exact
+                                     # URL-seen output); False = a Bloom filter
+                                     # alone, memory-bounded (the 10^10-URL path,
+                                     # silently drops the ~0.8% of new URLs that
+                                     # are false positives at 10 bits/key). A
+                                     # checkpoint restores only in its own mode.
+    bloom_bits_per_key: int = 10     # Bloom-only mode
+    bloom_capacity: int = 1_000_000  # Bloom-only mode, per shard; at 1e10 URLs
+                                     # total, shards scale out (SURVEY §2.3 F1)
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1        # checkpoint every k waves (when dir set)
     actor_scheduling: str | None = None  # shard-actor scheduling strategy:
@@ -186,12 +189,21 @@ class CrawlConfig:
     def __post_init__(self) -> None:
         """Reject settings the engine cannot honour, naming them, before
         any actor or task starts."""
-        for name in ("n_filter_shards", "n_frontier_shards"):
-            # below 1, URL-seen would mark every URL seen and the frontier
-            # would drop every push
+        for name in ("n_filter_shards", "n_frontier_shards", "per_domain_cap",
+                     "checkpoint_every", "bloom_capacity", "bloom_bits_per_key"):
+            # below 1: URL-seen would mark every URL seen, the frontier would
+            # drop every push, a host would never emit (the crawl never
+            # ends), a checkpoint period would be meaningless, a Bloom filter
+            # would hold no bits
             if getattr(self, name) < 1:
                 raise ValueError(f"CrawlConfig.{name} must be >= 1, "
                                  f"got {getattr(self, name)}")
+        if self.max_wave_urls < 0:   # merge_wave slices the wave at it
+            raise ValueError(f"CrawlConfig.max_wave_urls must be >= 0 (0 = off), "
+                             f"got {self.max_wave_urls}")
+        if not self.wave_period > 0:  # waves_per_emit divides by it; NaN fails too
+            raise ValueError(f"CrawlConfig.wave_period must be > 0, "
+                             f"got {self.wave_period}")
         if self.handle_httpstatus_list:
             clash = set(self.handle_httpstatus_list) & (
                 (set(self.retry_codes) if self.retry_max else set())

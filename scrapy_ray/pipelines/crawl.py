@@ -27,7 +27,7 @@ Each wave:
    and drain the next wave.
 5. every ``checkpoint_every`` waves: that same ``end_wave`` RPC has each
    shard actor checkpoint both of its partitions (queue / clocks, exact
-   set / Bloom segment) atomically, and the driver writes a manifest with
+   set or Bloom filter) atomically, and the driver writes a manifest with
    per-wave lineage + metrics — a killed run resumes at the last complete
    wave exactly [B:north_rule].
 
@@ -506,8 +506,7 @@ class CrawlEngine:
         # driver then does its sink/metrics work while the shards process.
         done_idx = self.wave_idx
         self.wave_idx += 1
-        do_ckpt = bool(self.ckpt and
-                       (self.wave_idx % max(1, cfg.checkpoint_every) == 0))
+        do_ckpt = bool(self.ckpt) and self.wave_idx % cfg.checkpoint_every == 0
         want_next = not self._should_stop()
         vdir = None
         if do_ckpt:

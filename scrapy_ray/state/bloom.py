@@ -1,13 +1,14 @@
 """Numpy-backed Bloom filter segment (SURVEY.md §2.3 F1).
 
-One segment per URL-seen shard. Input keys are already 64-bit url_hashes
-(functions/hashing.py); the k probe positions come from double hashing
-h_i = h1 + i*h2 (Kirsch–Mitzenmacher), all vectorized in numpy.
+The membership structure of a Bloom-only URL-seen shard
+(``CrawlConfig.exact_urlseen=False``; an exact shard holds none). Input keys
+are already 64-bit url_hashes (functions/hashing.py); the k probe positions
+come from double hashing h_i = h1 + i*h2 (Kirsch–Mitzenmacher), all
+vectorized in numpy.
 
 Memory math at the design point [B:north_rule]: 10^10 URLs at 10 bits/key
 = 12.5 GB of bits total -> 64 shards × ~200 MB, which is why the filter is
-sharded and checkpointed per shard. Test scale uses small capacities; the
-exact-set layer in the shard provides the byte-exact URL-seen verification.
+sharded and checkpointed per shard.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class BloomFilter:
@@ -55,9 +57,7 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of set bits — drives the approximate distinct-URL estimate
         at scale (SURVEY §2.5 A3): n ≈ -m/k * ln(1 - fill)."""
-        set_bits = int(np.bitwise_count(self.words).sum()) if hasattr(np, "bitwise_count") else int(
-            sum(bin(int(w)).count("1") for w in self.words))
-        return set_bits / self.m
+        return int(_POPCOUNT[self.words.view(np.uint8)].sum()) / self.m
 
     # --- checkpoint (SURVEY §4.2) ---
     def to_bytes(self) -> bytes:

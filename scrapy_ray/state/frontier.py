@@ -553,5 +553,5 @@ class ShardedFrontier:
         return min(vals) if vals else None
 
     def stats(self) -> list[dict]:
-        return [st["frontier"] for st in
-                ray.get([s.stats.remote(epoch=self._pool.epoch) for s in self.shards])]
+        return ray.get([s.call.remote("frontier", "stats", epoch=self._pool.epoch)
+                        for s in self.shards])

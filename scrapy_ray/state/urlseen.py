@@ -5,12 +5,15 @@ The reference keeps one in-process set of request fingerprints
 ([S:scrapy/dupefilters.py RFPDupeFilter]); that cannot hold 10^10 URLs in one
 heap, so here it is partitioned by ``url_hash % n_filter_shards``; partition
 *i* lives in CrawlShard actor *i* (state/shard.py), which owns the epoch
-guard, the actor options and the checkpoint fan-out. Each partition holds:
+guard, the actor options and the checkpoint fan-out. Each partition holds ONE
+membership structure, chosen by ``CrawlConfig.exact_urlseen``:
 
-- a **Bloom segment** (state/bloom.py) — the memory-bounded scale path;
-- an **exact set** (hash -> url) — authoritative at test scale, provides the
-  byte-exact final URL-seen set the goldens compare [B:north_rule], and
-  doubles as the Bloom's false-positive backstop while it fits.
+- exact (the default): sorted uint64 hash segments with their urls as Arrow
+  string arrays — the byte-exact URL-seen set the goldens compare
+  [B:north_rule];
+- Bloom-only: a Bloom filter (state/bloom.py) and no urls — the
+  memory-bounded path to 10^10 URLs, which silently drops the ~0.8% of new
+  URLs that are false positives at 10 bits per key.
 
 ``check_and_add`` is a batched RPC: the candidate anti-join is one message per
 partition per wave, not one per URL. First occurrence within a batch wins (the
@@ -38,103 +41,95 @@ class UrlSeenShard:
     def __init__(self, shard_id: int, capacity: int = 1_000_000, bits_per_key: int = 10,
                  exact: bool = True):
         self.shard_id = shard_id
-        self.bloom = BloomFilter(capacity, bits_per_key)
-        # Exact store is columnar (round 2): sorted uint64 hash segments with
-        # aligned url arrays, LSM-style (append a segment per batch, merge
-        # when the segment count grows). Membership = vectorized
-        # searchsorted per segment — no per-row python dict ops.
         self.exact = exact
-        self._segs: list[np.ndarray] = []
-        self._seg_urls: list[np.ndarray] = []
+        self._bloom_size = (capacity, bits_per_key)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to construction state (driver-coordinated recovery when no
+        committed checkpoint exists)."""
+        if self.exact:
+            # LSM-style: one sorted hash segment per batch with its urls
+            # aligned, merged when the segment count grows. Membership =
+            # vectorized searchsorted per segment.
+            self._segs: list[np.ndarray] = []
+            self._seg_urls: list[pa.Array] = []
+        else:
+            self.bloom = BloomFilter(*self._bloom_size)
         self.n_seen = 0
         self.n_filtered = 0
 
-    def check_and_add(self, hashes: np.ndarray, urls: list[str] | None) -> np.ndarray:
+    def check_and_add(self, hashes: np.ndarray, urls: pa.Array | None) -> np.ndarray:
         """Returns a bool mask: True = first sighting (keep). Adds as it goes,
-        so duplicates *within* the batch are filtered too. Fully vectorized:
-        within-batch dedup via np.unique(first index), cross-batch via
-        searchsorted against each sorted segment."""
+        so duplicates *within* the batch are filtered too: within-batch dedup
+        via np.unique (first index), cross-batch against the mode's one
+        structure. ``urls`` (aligned with ``hashes``) is needed in exact mode
+        only."""
         n = len(hashes)
         hashes = np.asarray(hashes, dtype=np.uint64)
-        if urls is not None and not isinstance(urls, np.ndarray):
-            # arrow Array arrives from the client (fast serialization path)
-            urls = np.asarray(urls.to_pylist() if hasattr(urls, "to_pylist")
-                              else urls, dtype=object)
         uniq, first_idx = np.unique(hashes, return_index=True)
-        fresh = np.ones(len(uniq), dtype=bool)
         if self.exact:
+            fresh = np.ones(len(uniq), dtype=bool)
             for seg in self._segs:
                 if not fresh.any():
                     break
                 pos = np.minimum(np.searchsorted(seg, uniq), len(seg) - 1)
                 fresh &= seg[pos] != uniq
+            if fresh.any():
+                self._segs.append(uniq[fresh])    # already sorted
+                self._seg_urls.append(urls.take(first_idx[fresh]))
+                if len(self._segs) > 16:
+                    self._merge_segs()
         else:
-            # Bloom-only path (memory-bounded scale mode)
-            fresh &= ~self.bloom.contains_many(uniq)
+            fresh = ~self.bloom.contains_many(uniq)
+            self.bloom.add_many(uniq[fresh])
         out = np.zeros(n, dtype=bool)
         out[first_idx[fresh]] = True
-        if self.exact and fresh.any():
-            new_h = uniq[fresh]                       # already sorted
-            if urls is not None:
-                new_u = urls[first_idx[fresh]]
-            else:
-                new_u = np.full(len(new_h), "", dtype=object)
-            self._segs.append(new_h)
-            self._seg_urls.append(new_u)
-            if len(self._segs) > 16:
-                self._merge_segs()
-        self.bloom.add_many(hashes[out])
-        self.n_seen += int(out.sum())
-        self.n_filtered += n - int(out.sum())
+        n_new = int(fresh.sum())
+        self.n_seen += n_new
+        self.n_filtered += n - n_new
         return out
 
     def _merge_segs(self) -> None:
         h = np.concatenate(self._segs)
-        u = np.concatenate(self._seg_urls)
         o = np.argsort(h, kind="stable")
         self._segs = [h[o]]
-        self._seg_urls = [u[o]]
+        self._seg_urls = [pa.concat_arrays(self._seg_urls).take(o)]
 
     def seen_table(self) -> pa.Table:
         """(url_hash, url) of everything seen — the golden URL-seen set."""
         if not self.exact:
             raise RuntimeError("exact set disabled on this shard")
-        if not self._segs:
-            return pa.table({"url_hash": pa.array([], type=pa.uint64()),
-                             "url": pa.array([], type=pa.string())})
-        return pa.table({"url_hash": pa.array(np.concatenate(self._segs), type=pa.uint64()),
-                         "url": pa.array(np.concatenate(self._seg_urls), type=pa.string())})
+        return pa.table({
+            "url_hash": pa.array(np.concatenate([np.empty(0, np.uint64), *self._segs])),
+            "url": pa.chunked_array(self._seg_urls, type=pa.string())})
 
     def stats(self) -> dict:
-        return {"shard": self.shard_id, "n_seen": self.n_seen, "n_filtered": self.n_filtered,
-                "bloom_fill": self.bloom.fill_ratio()}
+        st = {"shard": self.shard_id, "n_seen": self.n_seen, "n_filtered": self.n_filtered}
+        if not self.exact:
+            st["bloom_fill"] = self.bloom.fill_ratio()
+        return st
 
-    def reset(self) -> None:
-        """Back to construction state (driver-coordinated recovery when no
-        committed checkpoint exists)."""
-        self.bloom = BloomFilter(self.bloom.capacity, self.bloom.bits_per_key)
-        self._segs = []
-        self._seg_urls = []
-        self.n_seen = 0
-        self.n_filtered = 0
+    # --- checkpoint (SURVEY §4.2): atomic per-shard segment of the mode's
+    # one structure (urlseen_<i>.parquet, or bloom_<i>.bin in Bloom-only
+    # mode) plus the counters. urlseen_<i>.parquet marks an exact-mode
+    # checkpoint (older ones also hold a bloom_<i>.bin, which exact mode
+    # ignores); restore refuses a checkpoint of the other mode.
+    def _store_name(self) -> str:
+        return (f"urlseen_{self.shard_id}.parquet" if self.exact
+                else f"bloom_{self.shard_id}.bin")
 
-    # --- checkpoint (SURVEY §4.2): atomic per-shard segment. In Bloom-only
-    # mode (exact=False, the 10^10-URL memory-bounded path) only the Bloom
-    # segment + counters are persisted — there is no exact table to write,
-    # and restore must NOT resurrect an exact store on such a shard.
     def checkpoint(self, dirpath: str) -> None:
         import json
 
         os.makedirs(dirpath, exist_ok=True)
+        tmp = os.path.join(dirpath, f"urlseen_{self.shard_id}.tmp")
         if self.exact:
-            tmp = os.path.join(dirpath, f"urlseen_{self.shard_id}.tmp")
-            final = os.path.join(dirpath, f"urlseen_{self.shard_id}.parquet")
             pq.write_table(self.seen_table(), tmp)
-            os.replace(tmp, final)
-        btmp = os.path.join(dirpath, f"bloom_{self.shard_id}.tmp")
-        with open(btmp, "wb") as fh:
-            fh.write(self.bloom.to_bytes())
-        os.replace(btmp, os.path.join(dirpath, f"bloom_{self.shard_id}.bin"))
+        else:
+            with open(tmp, "wb") as fh:
+                fh.write(self.bloom.to_bytes())
+        os.replace(tmp, os.path.join(dirpath, self._store_name()))
         mtmp = os.path.join(dirpath, f"urlseen_meta_{self.shard_id}.tmp")
         with open(mtmp, "w") as fh:
             json.dump({"n_seen": self.n_seen, "n_filtered": self.n_filtered}, fh)
@@ -143,22 +138,24 @@ class UrlSeenShard:
     def restore(self, dirpath: str) -> None:
         import json
 
-        if self.exact:
-            t = pq.read_table(os.path.join(dirpath, f"urlseen_{self.shard_id}.parquet"))
-            h = t["url_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            u = np.asarray(t["url"].to_pylist(), dtype=object)
-            o = np.argsort(h, kind="stable")
-            self._segs = [h[o]] if len(h) else []
-            self._seg_urls = [u[o]] if len(h) else []
-        with open(os.path.join(dirpath, f"bloom_{self.shard_id}.bin"), "rb") as fh:
-            self.bloom = BloomFilter.from_bytes(fh.read())
-        meta_p = os.path.join(dirpath, f"urlseen_meta_{self.shard_id}.json")
-        if os.path.exists(meta_p):
-            with open(meta_p) as fh:
-                m = json.load(fh)
-            self.n_seen, self.n_filtered = m["n_seen"], m["n_filtered"]
+        table = f"urlseen_{self.shard_id}.parquet"
+        if os.path.exists(os.path.join(dirpath, table)) != self.exact:
+            raise ValueError(
+                f"URL-seen shard {self.shard_id}: checkpoint {dirpath} "
+                f"{'has no' if self.exact else 'has'} {table}, so it was written "
+                f"with CrawlConfig.exact_urlseen={not self.exact}; this shard "
+                f"restores only its own mode's {self._store_name()}")
+        path = os.path.join(dirpath, self._store_name())
+        self.reset()
+        if self.exact:   # the saved set re-enters as one sorted segment
+            t = pq.read_table(path)
+            self.check_and_add(t["url_hash"].to_numpy(), t["url"].combine_chunks())
         else:
-            self.n_seen = int(sum(len(s) for s in self._segs))
+            with open(path, "rb") as fh:
+                self.bloom = BloomFilter.from_bytes(fh.read())
+        with open(os.path.join(dirpath, f"urlseen_meta_{self.shard_id}.json")) as fh:
+            m = json.load(fh)
+        self.n_seen, self.n_filtered = m["n_seen"], m["n_filtered"]
 
 
 class ShardedUrlSeen:
@@ -182,6 +179,7 @@ class ShardedUrlSeen:
         if n == 0:
             return mask
         shard_of = (hashes % np.uint64(self.n_shards)).astype(np.int64)
+        exact = self._pool.cfg.exact_urlseen   # a Bloom shard takes no urls
         futs, idxs = [], []
         for s in range(self.n_shards):
             idx = np.nonzero(shard_of == s)[0]
@@ -189,7 +187,7 @@ class ShardedUrlSeen:
                 continue
             futs.append(self.shards[s].call.remote(
                 "urlseen", "check_and_add", hashes[idx],
-                urls_arr.take(pa.array(idx, type=pa.int64())), epoch=self._pool.epoch))
+                urls_arr.take(idx) if exact else None, epoch=self._pool.epoch))
             idxs.append(idx)
         for idx, res in zip(idxs, ray.get(futs)):
             mask[idx] = res
@@ -210,5 +208,5 @@ class ShardedUrlSeen:
             for s in self.shards])])
 
     def stats(self) -> list[dict]:
-        return [st["urlseen"] for st in
-                ray.get([s.stats.remote(epoch=self._pool.epoch) for s in self.shards])]
+        return ray.get([s.call.remote("urlseen", "stats", epoch=self._pool.epoch)
+                        for s in self.shards])

@@ -42,7 +42,7 @@ def _hosts(rows: list[tuple]) -> pa.Table:
 
 def _hashes(lo: int, hi: int):
     h = np.arange(lo, hi, dtype=np.uint64) * np.uint64(2654435761)
-    return h, [f"https://u/{int(x)}" for x in h]
+    return h, pa.array([f"https://u/{int(x)}" for x in h])
 
 
 def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
@@ -75,7 +75,7 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
                 epoch=4)
     used = sh.stats(epoch=4)
     assert used["frontier"]["spilled_rows_total"] > 0
-    assert used["urlseen"]["bloom_fill"] > 0
+    assert used["urlseen"]["n_seen"] > 0
     sh.reset()
     fresh = CrawlShard(1, cfg)
     assert sh.stats() == fresh.stats()
@@ -90,8 +90,7 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     su.call("urlseen", "check_and_add", *_hashes(0, 50))
     ck_u = str(tmp_path / "ck_u")
     assert su.end_wave(None, None, ck_u, None) is None
-    assert sorted(os.listdir(ck_u)) == ["bloom_2.bin", "urlseen_2.parquet",
-                                        "urlseen_meta_2.json"]
+    assert sorted(os.listdir(ck_u)) == ["urlseen_2.parquet", "urlseen_meta_2.json"]
     ru = CrawlShard(2, cfg_u)
     ru.restore(ck_u)
     assert ru.stats() == su.stats()
@@ -100,6 +99,23 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     h2, u2 = _hashes(40, 60)
     assert (ru.call("urlseen", "check_and_add", h2, u2).tolist()
             == su.call("urlseen", "check_and_add", h2, u2).tolist())
+
+    # Bloom-only mode: the shard holds the Bloom filter alone, reports its
+    # fill, and checkpoints bloom_<i>.bin instead of the exact set
+    cfg_b = CrawlConfig(n_filter_shards=3, n_frontier_shards=2, exact_urlseen=False,
+                        bloom_capacity=1000)
+    sb = CrawlShard(2, cfg_b)
+    assert sb.call("urlseen", "check_and_add", _hashes(0, 50)[0], None).all()
+    assert sb.stats()["urlseen"]["bloom_fill"] > 0
+    ck_b = str(tmp_path / "ck_b")
+    sb.checkpoint(ck_b)
+    assert sorted(os.listdir(ck_b)) == ["bloom_2.bin", "urlseen_meta_2.json"]
+    rb = CrawlShard(2, cfg_b)
+    rb.restore(ck_b)
+    assert rb.stats() == sb.stats()
+    assert (rb.call("urlseen", "check_and_add", h2, None).tolist()
+            == sb.call("urlseen", "check_and_add", h2, None).tolist()
+            == [False] * 10 + [True] * 10)
 
     # a shard holding only a frontier partition: same round-trip
     cfg_f = CrawlConfig(n_filter_shards=2, n_frontier_shards=3, per_domain_cap=2)
@@ -192,10 +208,21 @@ def test_shard_counts_fail_fast(field, value):
      "handle_httpstatus_list overlaps"),
     ({"retry_max": 1, "retry_codes": (500, 302)},
      "retry_codes and redirect_codes overlap"),
+    ({"per_domain_cap": 0}, "CrawlConfig.per_domain_cap must be >= 1, got 0"),
+    ({"wave_period": 0.0}, "CrawlConfig.wave_period must be > 0, got 0.0"),
+    ({"wave_period": -1.0}, "CrawlConfig.wave_period must be > 0, got -1.0"),
+    ({"max_wave_urls": -1}, r"CrawlConfig.max_wave_urls must be >= 0 \(0 = off\), got -1"),
+    ({"checkpoint_every": 0}, "CrawlConfig.checkpoint_every must be >= 1, got 0"),
+    ({"bloom_capacity": 0}, "CrawlConfig.bloom_capacity must be >= 1, got 0"),
+    ({"bloom_bits_per_key": 0}, "CrawlConfig.bloom_bits_per_key must be >= 1, got 0"),
 ])
 def test_crawl_config_rejects_bad_settings(kwargs, match):
     """The config validates itself: every engine entry point (run_crawl, a
-    direct CrawlEngine, the CLI) gets the same errors, with no Ray."""
+    direct CrawlEngine, the CLI) gets the same errors, with no Ray. Without
+    them: a per_domain_cap below 1 emits nothing and the crawl never ends,
+    a wave_period of 0 divides by zero in waves_per_emit, a negative
+    max_wave_urls slices the wave at a negative offset, a checkpoint_every
+    below 1 used to mean 1, and a Bloom filter sized below 1 holds no keys."""
     with pytest.raises(ValueError, match=match):
         CrawlConfig(**kwargs)
 
@@ -221,7 +248,7 @@ def test_engine_builds_one_actor_per_partition(ray_session, e2e_corpus,
         ustats, fstats = eng.urlseen.stats(), eng.frontier.stats()
         assert [s["shard"] for s in ustats] == list(range(n_filter))
         assert [s["shard"] for s in fstats] == list(range(n_frontier))
-        assert set(ustats[0]) == {"shard", "n_seen", "n_filtered", "bloom_fill"}
+        assert set(ustats[0]) == {"shard", "n_seen", "n_filtered"}
         assert "queued" in fstats[0] and "n_seen" not in fstats[0]
         assert sum(s["n_seen"] for s in ustats) == sum(s["queued"] for s in fstats) > 0
     finally:

@@ -4,6 +4,9 @@ ordering, checkpoint round-trips) — SURVEY.md §5.2.6."""
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
+from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.state.bloom import BloomFilter
 from scrapy_ray.state.frontier import FrontierShard, _path_of
 from scrapy_ray.state.robots import parse_robots
@@ -44,6 +48,8 @@ def test_bloom_serialization_roundtrip():
     bf2 = BloomFilter.from_bytes(bf.to_bytes())
     assert bf2.contains_many(keys).all()
     assert bf2.m == bf.m and bf2.k == bf.k and bf2.n_added == bf.n_added
+    # the vectorized popcount equals a per-word bit count
+    assert bf2.fill_ratio() == sum(bin(int(w)).count("1") for w in bf.words) / bf.m > 0
 
 
 def test_robots_parse_and_match():
@@ -66,9 +72,9 @@ def test_path_of():
 def test_urlseen_shard_first_occurrence():
     s = UrlSeenShard(0, capacity=1000)
     h = np.array([1, 2, 1, 3, 2, 4], dtype=np.uint64)
-    mask = s.check_and_add(h, [f"u{int(x)}" for x in h])
+    mask = s.check_and_add(h, pa.array([f"u{int(x)}" for x in h]))
     assert mask.tolist() == [True, True, False, True, False, True]
-    mask2 = s.check_and_add(np.array([3, 5], dtype=np.uint64), ["u3", "u5"])
+    mask2 = s.check_and_add(np.array([3, 5], dtype=np.uint64), pa.array(["u3", "u5"]))
     assert mask2.tolist() == [False, True]
     t = s.seen_table()
     assert sorted(t["url_hash"].to_pylist()) == [1, 2, 3, 4, 5]
@@ -84,11 +90,119 @@ def test_urlseen_bloom_only_mode():
 def test_urlseen_checkpoint_roundtrip(tmp_path):
     s = UrlSeenShard(3, capacity=1000)
     h = np.array([7, 8, 9], dtype=np.uint64)
-    s.check_and_add(h, ["a", "b", "c"])
+    s.check_and_add(h, pa.array(["a", "b", "c"]))
     s.checkpoint(str(tmp_path))
     s2 = UrlSeenShard(3, capacity=1000)
     s2.restore(str(tmp_path))
-    assert s2.check_and_add(np.array([8, 100], dtype=np.uint64), ["b", "z"]).tolist() == [False, True]
+    assert s2.check_and_add(np.array([8, 100], dtype=np.uint64),
+                            pa.array(["b", "z"])).tolist() == [False, True]
+
+
+def _url_batches(n_batches: int, seed: int):
+    """Seeded (hashes, urls) batches: 400 never-sent urls, 100 repeats of
+    earlier ones, and in-batch duplicates."""
+    rng = np.random.default_rng(seed)
+    sent: list[str] = []
+    for b in range(n_batches):
+        fresh = [f"https://h{i % 37}.example/p{i}" for i in range(b * 400, (b + 1) * 400)]
+        old = [sent[i] for i in rng.integers(0, len(sent), 100)] if sent else []
+        urls = fresh + old + fresh[:50]
+        rng.shuffle(urls)
+        sent += fresh
+        yield hash64(urls), pa.array(urls)
+
+
+def test_urlseen_old_layout_exact_checkpoint_restores(tmp_path):
+    """A checkpoint written before exact shards dropped their Bloom filter
+    holds a bloom_<i>.bin beside the exact files; it restores in exact mode
+    (the stray file is ignored) and gives the same masks as the shard that
+    wrote it. 20 batches make the shard merge its segments, and every url
+    must stay beside its own hash."""
+    batches = list(_url_batches(22, seed=3))
+    s = UrlSeenShard(2)
+    for h, u in batches[:20]:
+        s.check_and_add(h, u)
+    seen = s.seen_table()
+    assert seen.column("url").num_chunks < 20
+    assert (hash64(seen["url"].to_pylist()) == seen["url_hash"].to_numpy()).all()
+    s.checkpoint(str(tmp_path))
+    stray = BloomFilter(1_000_000, 10)
+    stray.add_many(s.seen_table()["url_hash"].to_numpy())
+    (tmp_path / "bloom_2.bin").write_bytes(stray.to_bytes())
+    r = UrlSeenShard(2)
+    r.restore(str(tmp_path))
+    assert r.stats() == s.stats() == {"shard": 2, "n_seen": s.n_seen,
+                                      "n_filtered": s.n_filtered}
+    assert r.seen_table().sort_by("url_hash").equals(s.seen_table().sort_by("url_hash"))
+    for h, u in batches[20:]:
+        assert r.check_and_add(h, u).tolist() == s.check_and_add(h, u).tolist()
+
+
+@pytest.mark.parametrize("written_exact,old_layout", [(True, False), (True, True),
+                                                     (False, False)])
+def test_urlseen_checkpoint_of_the_other_mode_fails_fast(tmp_path, written_exact,
+                                                         old_layout):
+    """Each mode checkpoints only its own structure, and urlseen_<i>.parquet
+    marks an exact one: restoring a checkpoint of the other mode raises at
+    once, naming the setting and the file this shard restores from,
+    instead of a bare FileNotFoundError. An exact checkpoint of the old
+    layout, which also holds a bloom_<i>.bin, is refused too."""
+    s = UrlSeenShard(1, capacity=1000, exact=written_exact)
+    h, u = next(_url_batches(1, seed=5))
+    s.check_and_add(h, u if written_exact else None)
+    s.checkpoint(str(tmp_path))
+    if old_layout:
+        (tmp_path / "bloom_1.bin").write_bytes(UrlSeenShard(1, 1000, exact=False)
+                                               .bloom.to_bytes())
+    needed = "urlseen_1.parquet" if not written_exact else "bloom_1.bin"
+    assert (needed in os.listdir(tmp_path)) == old_layout
+    with pytest.raises(ValueError, match=(
+            rf"has{'' if written_exact else ' no'} urlseen_1\.parquet, so it was written "
+            rf"with CrawlConfig\.exact_urlseen={written_exact}; this shard restores "
+            rf"only its own mode's {needed}")):
+        UrlSeenShard(1, capacity=1000, exact=not written_exact).restore(str(tmp_path))
+
+
+def test_urlseen_bloom_only_false_positives_within_bound():
+    """Bloom-only mode silently drops every false positive. Run it beside an
+    exact shadow over the same seeded batches until ``capacity`` keys are in,
+    then probe a batch of never-sent urls at capacity. A url the shadow keeps
+    and the Bloom shard drops is a false positive; the Bloom shard never
+    keeps a url the shadow has seen. A batch probes the filter as it was
+    before the batch, holding n keys, so each never-sent url is a false
+    positive with probability p(n) = (1 - e^{-k·n/m})^k: about 0.82% at
+    capacity and 10 bits per key. The counts must lie within 4 binomial
+    standard deviations of those expectations."""
+    cap = 20_000
+    bloom = UrlSeenShard(0, capacity=cap, bits_per_key=10, exact=False)
+    shadow = UrlSeenShard(0)
+    k, m = bloom.bloom.k, bloom.bloom.m
+
+    def p(n: int) -> float:
+        return (1 - math.exp(-k * n / m)) ** k
+
+    def run(batch):
+        h, u = batch
+        n_before = bloom.bloom.n_added
+        keep_b, keep_s = bloom.check_and_add(h, None), shadow.check_and_add(h, u)
+        assert not (keep_b & ~keep_s).any()
+        return int((keep_s & ~keep_b).sum()), int(keep_s.sum()), p(n_before)
+
+    fill_fp, expect, var = 0, 0.0, 0.0
+    batches = _url_batches(10_000, seed=7)
+    while bloom.bloom.n_added <= cap - 400:   # a batch adds <= 400 keys
+        fp, n_new, pb = run(next(batches))
+        fill_fp += fp
+        expect, var = expect + n_new * pb, var + n_new * pb * (1 - pb)
+    assert abs(fill_fp - expect) <= 4 * math.sqrt(var), (fill_fp, expect)
+
+    assert 0.0081 < p(cap) < 0.0083               # ≈ 0.82% at 10 bits/key
+    probe = [f"https://probe.example/q{i}" for i in range(20_000)]
+    fp, n_new, pb = run((hash64(probe), pa.array(probe)))
+    assert n_new == len(probe) and pb <= p(cap)
+    sd = math.sqrt(n_new * pb * (1 - pb))
+    assert abs(fp - n_new * pb) <= 4 * sd, (fp, n_new * pb)
+    assert bloom.n_seen == shadow.n_seen - fill_fp - fp
 
 
 def _rows(specs):
