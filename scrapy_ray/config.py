@@ -201,9 +201,17 @@ class CrawlConfig:
         if self.max_wave_urls < 0:   # merge_wave slices the wave at it
             raise ValueError(f"CrawlConfig.max_wave_urls must be >= 0 (0 = off), "
                              f"got {self.max_wave_urls}")
-        if not self.wave_period > 0:  # waves_per_emit divides by it; NaN fails too
-            raise ValueError(f"CrawlConfig.wave_period must be > 0, "
-                             f"got {self.wave_period}")
+        for name in ("wave_period", "at_target_concurrency", "at_bytes_per_sec"):
+            # waves_per_emit, update_throttle and CrawlShard.end_wave divide
+            # by these: a zero raises inside a shard actor, or gives every
+            # throttled host an infinite latency that pins it at
+            # at_max_delay; NaN fails too
+            if not getattr(self, name) > 0:
+                raise ValueError(f"CrawlConfig.{name} must be > 0, "
+                                 f"got {getattr(self, name)}")
+        if self.frontier_max_rows < 0:   # would spill every host on every push
+            raise ValueError(f"CrawlConfig.frontier_max_rows must be >= 0 (0 = off), "
+                             f"got {self.frontier_max_rows}")
         if self.handle_httpstatus_list:
             clash = set(self.handle_httpstatus_list) & (
                 (set(self.retry_codes) if self.retry_max else set())

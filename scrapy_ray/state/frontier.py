@@ -8,10 +8,15 @@ hash-partitioned by **host** [B:north_rule] — politeness and the robots
 cache need all of a host's URLs in one place (a co-located lookup, never a
 shuffle — SURVEY §2.4 J2). Partition *i* lives in CrawlShard actor *i*
 (state/shard.py), which owns the epoch guard, the actor options and the
-checkpoint fan-out. Each partition holds:
+checkpoint fan-out. Each partition holds, columnar and vectorized over
+hosts:
 
-- per-host heaps ordered by (-priority, seq) — priority desc, FIFO tiebreak,
-  the engine's deterministic total order (SURVEY §2.9);
+- a host → code map (codes fixed until ``reset``) and per-host state in
+  arrays indexed by code;
+- queued rows in a few sorted Arrow runs, each ordered by (code, -priority,
+  seq) — priority desc, FIFO tiebreak, the engine's deterministic total
+  order (SURVEY §2.9) — so a host's next rows are a prefix of its group in
+  every run;
 - a per-host politeness clock in *virtual wave time*: a host with effective
   crawl delay d emits at most 1 URL per eligible wave, eligible every
   ``ceil(d / wave_period)`` waves; a host with no delay emits up to
@@ -25,19 +30,19 @@ Wave assembly: the driver gathers each shard's emission and merges by
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import json
 import os
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
-from scrapy_ray.state.robots import ALLOW_ALL, RobotsRules, parse_robots
+from scrapy_ray.state.robots import RobotsRules, parse_robots
 
 _NEVER = -1 << 30
 
@@ -57,6 +62,74 @@ def host_shard(hosts: list[str], n_shards: int) -> np.ndarray:
     return (hash64(hosts) % np.uint64(n_shards)).astype(np.int64)
 
 
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(lo[i], lo[i] + n[i])`` over i."""
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _gather(pieces: list[tuple], by_code: bool = True) -> tuple:
+    """Rows ``idx`` of each piece ``(table, idx, codes, negpri, seq)``,
+    sorted by (code, -priority, seq), or by (-priority, seq) when not
+    ``by_code``: the rows and their codes, negpri and seq. One ``take``
+    over the pieces' tables, which copies every chunk first, so a piece
+    that needs few rows of a big table is taken on its own beforehand."""
+    tables, idx, n = [], [], 0
+    if not pieces:
+        return (schemas.FRONTIER.empty_table(), *[np.empty(0, np.int64)] * 3)
+    for t, i, *_ in pieces:
+        if t.num_rows > 8 * len(i) + 1024:
+            t, i = t.take(i), np.arange(len(i))
+        tables.append(t)
+        idx.append(i + n)
+        n += t.num_rows
+    codes, negpri, seq = (np.concatenate([p[k] for p in pieces]) for k in (2, 3, 4))
+    o = np.lexsort((seq, negpri, codes) if by_code else (seq, negpri))
+    return (pa.concat_tables(tables).take(np.concatenate(idx)[o]),
+            codes[o], negpri[o], seq[o])
+
+
+class _Run:
+    """Queued rows sorted by (code, -priority, seq). Host group g is rows
+    ``starts[g]:starts[g+1]``; rows before ``head[g]`` were consumed."""
+
+    def __init__(self, table: pa.Table, rowcodes: np.ndarray,
+                 negpri: np.ndarray, seq: np.ndarray):
+        self.table, self.negpri, self.seq = table, negpri, seq
+        first = np.concatenate(([0], np.flatnonzero(rowcodes[1:] != rowcodes[:-1]) + 1))
+        self.codes = rowcodes[first]
+        self.starts = np.append(first, len(rowcodes))
+        self.head = first
+        self.live = len(rowcodes)
+
+    def offer(self, codes: np.ndarray, caps: np.ndarray) -> tuple:
+        """The first ``caps[i]`` live rows of host ``codes[i]`` (sorted
+        codes): their group indices, counts and row indices."""
+        g = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        hit = self.codes[g] == codes
+        g = g[hit]
+        n = np.minimum(caps[hit], self.starts[g + 1] - self.head[g])
+        return g, n, _ranges(self.head[g], n)
+
+    def piece(self, g: np.ndarray, n: np.ndarray, idx: np.ndarray) -> tuple:
+        return self.table, idx, np.repeat(self.codes[g], n), self.negpri[idx], self.seq[idx]
+
+    def live_piece(self) -> tuple:
+        g = np.arange(len(self.codes))
+        n = self.starts[1:] - self.head
+        return self.piece(g, n, _ranges(self.head, n))
+
+    def consume(self, g: np.ndarray, n: np.ndarray) -> None:
+        self.head[g] += n
+        self.live -= int(n.sum())
+
+    def compacted(self) -> _Run:
+        """Self, or its live rows alone once consumed rows outnumber them
+        (and 1024 rows: a small run is not worth a take)."""
+        if len(self.seq) - self.live <= max(self.live, 1024):
+            return self
+        return _Run(*_gather([self.live_piece()]))
+
+
 class FrontierShard:
     """One host-partition of the frontier: plain partition state, held by a
     CrawlShard actor; unit-testable standalone."""
@@ -64,58 +137,94 @@ class FrontierShard:
     def __init__(self, shard_id: int, cfg: CrawlConfig, robots_bodies: dict[str, str] | None = None):
         self.shard_id = shard_id
         self.cfg = cfg
-        # Columnar internals (round 2, VERDICT item 8): pushed rows stay in
-        # Arrow blocks; per host we keep SORTED RUNS — one vectorized
-        # lexsort per push, no per-row heappush. A run is a mutable list
-        # [negpri:int64[], seq:int64[], bid:int, idx:int64[], pos:int],
-        # rows ordered by (-priority, seq). Emission: full-drain returns the
-        # remaining set unsorted (the client k-way sorts the merged wave);
-        # politeness-capped drain pops via a heap over run heads.
-        self.blocks: list[pa.Table] = []
-        self.queues: dict[str, list[list]] = defaultdict(list)  # host -> runs
-        self._queued = 0      # live rows across all runs
-        self.last_emit_wave: dict[str, int] = {}
-        self.at_delay: dict[str, float] = {}   # F4 adaptive per-host delay
         self.robots: dict[str, RobotsRules] = {}
         if robots_bodies:
             self.robots = {h: parse_robots(b, cfg.user_agent)
                            for h, b in robots_bodies.items()}
         # hosts that can actually DENY a push (only Disallow rules matter
         # here; crawl-delay affects pacing, not admission)
-        self._deny_hosts = {h for h, r in self.robots.items() if r.disallow}
+        self._deny = pa.array(sorted(h for h, r in self.robots.items() if r.disallow),
+                              pa.string())
+        self._spill_dir: str | None = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self._hosts = pa.array([], pa.string())   # code -> host
+        # per-host state, indexed by code: the politeness clock, the F4
+        # AutoThrottle delay (NaN = none yet), the F6 session token (0 = no
+        # session yet), the robots Crawl-delay and the in-memory row count
+        self._last = np.empty(0, np.int64)
+        self._at = np.empty(0, np.float64)
+        self._session = np.empty(0, np.uint64)
+        self._crawl_delay = np.empty(0, np.float64)
+        self._live = np.empty(0, np.int64)
+        self._runs: list[_Run] = []
+        self._pending: list[tuple] = []   # pushes since the last drain, as _gather pieces
+        self._queued = 0      # in-memory rows, runs and pending
         self.n_robots_denied = 0
         self.n_pushed = 0
         self.n_spilled_total = 0   # monotone: rows ever spilled (observability)
-        # disk-backed frontier ([S:queuelib]/JOBDIR parity): host -> spilled
+        # disk-backed frontier ([S:queuelib]/JOBDIR parity): code -> spilled
         # row count; rows live in parquet under _spill_dir until the host's
         # politeness clock readies it again (see _maybe_spill/_unspill_ready)
-        self.spilled: dict[str, int] = {}
-        self._spill_dir: str | None = None
-        # F6 cookies analogue ([S:scrapy/downloadermiddlewares/cookies.py]):
-        # per-host session token — host affinity puts the "cookie jar" in
-        # the shard that owns the host, exactly where robots/politeness
-        # state already lives. Updated once per wave from the host's
-        # LAST-fetched response (max seq), carried on every emitted request
-        # row as a `session` column when cfg.cookies is on.
-        self.sessions: dict[str, int] = {}
+        self.spilled: dict[int, int] = {}
 
-    def _rules(self, host: str) -> RobotsRules:
-        return self.robots.get(host, ALLOW_ALL)
+    def _codes(self, hosts) -> np.ndarray:
+        """Code of each host (a list or an Arrow string column); a host seen
+        for the first time gets the next free code."""
+        if isinstance(hosts, list):
+            hosts = pa.array(hosts, pa.string())
+        idx = pc.index_in(hosts, value_set=self._hosts)
+        if idx.null_count:
+            new = pc.unique(hosts.filter(pc.is_null(idx)))
+            n = len(new)
+            self._hosts = pa.concat_arrays([self._hosts, new])
+            for name, fill in (("_last", _NEVER), ("_at", np.nan), ("_session", 0), ("_live", 0)):
+                a = getattr(self, name)
+                setattr(self, name, np.append(a, np.full(n, fill, a.dtype)))
+            self._crawl_delay = np.append(self._crawl_delay, [
+                self.robots[h].crawl_delay if h in self.robots else 0.0
+                for h in new.to_pylist()] if self.robots else np.zeros(n))
+            idx = pc.index_in(hosts, value_set=self._hosts)
+        return idx.to_numpy().astype(np.int64)
 
-    def _delay(self, host: str) -> float:
-        robots_d = self._rules(host).crawl_delay if self.cfg.respect_crawl_delay else 0.0
-        at_d = (self.at_delay.get(host, self.cfg.at_start_delay)
-                if self.cfg.autothrottle else 0.0)
-        return max(self.cfg.download_delay, robots_d, at_d)
+    def _view(self, values: np.ndarray, keep: np.ndarray) -> dict:
+        c = np.flatnonzero(keep)
+        return dict(zip(self._hosts.take(c).to_pylist(), values[c].tolist()))
 
-    def _ready_at(self, host: str) -> int:
-        last = self.last_emit_wave.get(host, _NEVER)
-        return last + self.cfg.waves_per_emit(
-            self._delay(host), self.cfg.delay_jitter(host, last))
+    # host -> value views of the per-host arrays (hosts with a value only)
+    last_emit_wave = property(lambda s: s._view(s._last, s._last != _NEVER))
+    at_delay = property(lambda s: s._view(s._at, ~np.isnan(s._at)))
+    sessions = property(lambda s: s._view(s._session, s._session != 0))
+
+    def _delays(self, c: np.ndarray) -> np.ndarray:
+        """Effective crawl delay of each code: the max of the configured,
+        robots and AutoThrottle delays."""
+        cfg = self.cfg
+        d = np.full(len(c), cfg.download_delay)
+        if cfg.respect_crawl_delay:
+            d = np.maximum(d, self._crawl_delay[c])
+        if cfg.autothrottle:
+            at = self._at[c]
+            d = np.maximum(d, np.where(np.isnan(at), cfg.at_start_delay, at))
+        return d
+
+    def _ready_at(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """First wave each code may emit in, given its delays ``d``:
+        ``cfg.waves_per_emit`` over arrays, with ``cfg.delay_jitter`` drawn
+        only for the delayed hosts."""
+        cfg, last = self.cfg, self._last[c]
+        if cfg.randomize_download_delay:
+            j = np.flatnonzero(d > 0)
+            d = d.copy()
+            d[j] *= [cfg.delay_jitter(h, w) for h, w
+                     in zip(self._hosts.take(c[j]).to_pylist(), last[j].tolist())]
+        wpe = np.where(d > 0, np.maximum(1, np.ceil(d / cfg.wave_period)), 1)
+        return last + wpe.astype(np.int64)
 
     # --- disk spill ([S:queuelib disk queues / JOBDIR]) ---
 
-    def _spill_path(self, host: str) -> str:
+    def _spill_path(self, code: int) -> str:
         import hashlib
         if self._spill_dir is None:
             import tempfile
@@ -130,270 +239,179 @@ class FrontierShard:
                 prefix=f"shard_{self.shard_id}_",
                 dir=base) if base is not None else tempfile.mkdtemp(
                 prefix=f"scrapy_ray_spill_{self.shard_id}_")
-        h = hashlib.md5(host.encode()).hexdigest()[:16]
+        h = hashlib.md5(self._hosts[code].as_py().encode()).hexdigest()[:16]
         return os.path.join(self._spill_dir, f"{h}.parquet")
 
     def _maybe_spill(self) -> None:
         """Whole cold hosts spill to parquet until in-memory rows fall to
         half the cap (hysteresis bounds thrash); largest queue first, host
         name as the deterministic tie-break. Spilling never changes what a
-        wave emits — rows round-trip through parquet and re-enter as one
-        sorted run when the host readies (e2e equality pins this)."""
+        wave emits — rows round-trip through parquet and re-enter as part
+        of a sorted run when the host readies (e2e equality pins this)."""
         cap = self.cfg.frontier_max_rows
         if not cap or self._queued <= cap:
             return
-        target = cap // 2
-        sizes = sorted(((sum(len(r[1]) - r[4] for r in runs), host)
-                        for host, runs in self.queues.items()), reverse=True)
-        for n_live, host in sizes:
-            if self._queued <= target or n_live == 0:
-                break
-            self._spill_host(host, n_live)
-        self._maybe_compact()
-
-    def _spill_host(self, host: str, n_live: int) -> None:
-        pairs = np.concatenate([self._run_pairs(r)
-                                for r in self.queues[host]], axis=1)
-        t = self._take_pairs(pairs)
-        path = self._spill_path(host)
-        if os.path.exists(path):   # host re-spilled after new pushes arrived
-            t = pa.concat_tables([pq.read_table(path), t])
-        pq.write_table(t, path)
-        del self.queues[host]
-        self._queued -= n_live
-        self.spilled[host] = self.spilled.get(host, 0) + n_live
-        self.n_spilled_total += n_live
-
-    def _unspill_host(self, host: str) -> None:
-        path = self._spill_path(host)
-        t = pq.read_table(path)
-        os.remove(path)
-        n = self.spilled.pop(host)
-        assert n == len(t)
-        bid = len(self.blocks)
-        self.blocks.append(t)
-        pris = t["priority"].to_numpy(zero_copy_only=False).astype(np.int64)
-        seqs = t["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((seqs, -pris))
-        self.queues[host].append([-pris[order], seqs[order], bid,
-                                  order.astype(np.int64), 0])
-        self._queued += len(t)
-
-    def _drop_spill_files(self) -> None:
-        for host in list(self.spilled):
-            try:
-                os.remove(self._spill_path(host))
-            except FileNotFoundError:
-                pass
-        self.spilled = {}
+        self._flush()
+        c = np.flatnonzero(self._live)
+        c = c[pc.sort_indices(pa.table({"n": self._live[c], "host": self._hosts.take(c)}),
+                              [("n", "descending"), ("host", "descending")]).to_numpy()]
+        n = self._live[c]
+        spill = np.sort(c[:np.count_nonzero(self._queued - (np.cumsum(n) - n) > cap // 2)])
+        pieces = []
+        for r in self._runs:
+            g, m, idx = r.offer(spill, self._live[spill])
+            pieces.append(r.piece(g, m, idx))
+            r.consume(g, m)
+        self._runs = [r.compacted() for r in self._runs if r.live]
+        rows, codes, _, _ = _gather(pieces)
+        bounds = np.searchsorted(codes, np.append(spill, len(self._live)))
+        for i, c in enumerate(spill.tolist()):
+            t = rows.slice(bounds[i], bounds[i + 1] - bounds[i])
+            path = self._spill_path(c)
+            if os.path.exists(path):   # host re-spilled after new pushes arrived
+                t = pa.concat_tables([pq.read_table(path), t])
+            pq.write_table(t, path)
+            self.spilled[c] = self.spilled.get(c, 0) + int(self._live[c])
+        n_out = int(self._live[spill].sum())
+        self._live[spill] = 0
+        self._queued -= n_out
+        self.n_spilled_total += n_out
 
     def _unspill_ready(self, wave_idx: int) -> None:
-        for host in sorted(self.spilled):
-            if wave_idx >= self._ready_at(host):
-                self._unspill_host(host)
+        c = np.array(sorted(self.spilled), dtype=np.int64)
+        for code in c[self._ready_at(c, self._delays(c)) <= wave_idx].tolist():
+            path = self._spill_path(code)
+            t = pq.read_table(path)
+            os.remove(path)
+            n = self.spilled.pop(code)
+            assert n == len(t)
+            self._add(t, np.full(len(t), code))
+
+    def _drop_spill_files(self) -> None:
+        for code in self.spilled:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._spill_path(code))
+        self.spilled = {}
 
     def update_sessions(self, hosts: list[str], tokens: list[int]) -> None:
         """F6: overwrite each host's session token with this wave's value
         (CrawlShard.end_wave reduced it to the max-seq response per host;
         wave order means a later wave always wins, like a rotating
         Set-Cookie)."""
-        for h, tok in zip(hosts, tokens):
-            self.sessions[h] = int(tok)
+        c = self._codes(hosts)   # may grow the per-host arrays: first
+        self._session[c] = np.asarray(tokens, dtype=np.uint64)
 
     def get_sessions(self) -> dict[str, int]:
-        return dict(self.sessions)
+        return self.sessions
 
     def update_throttle(self, hosts: list[str], latencies: list[float]) -> None:
         """F4 AutoThrottle ([S:scrapy/extensions/throttle.py] smoothing over
         the deterministic virtual latency — see config.py): one update per
-        host per wave with that wave's mean response latency."""
-        cfg = self.cfg
-        for h, lat in zip(hosts, latencies):
-            prev = self.at_delay.get(h, cfg.at_start_delay)
-            target = float(lat) / cfg.at_target_concurrency
-            new = (prev + target) / 2.0
-            self.at_delay[h] = min(max(new, cfg.download_delay), cfg.at_max_delay)
+        host per wave with that wave's mean response latency (one entry per
+        host, as CrawlShard.end_wave reduces them)."""
+        cfg, c = self.cfg, self._codes(hosts)
+        prev = np.where(np.isnan(self._at[c]), cfg.at_start_delay, self._at[c])
+        new = (prev + np.asarray(latencies, dtype=np.float64) / cfg.at_target_concurrency) / 2.0
+        self._at[c] = np.minimum(np.maximum(new, cfg.download_delay), cfg.at_max_delay)
 
     def push(self, rows: pa.Table) -> int:
         """Enqueue FRONTIER rows; robots-denied rows are dropped here (they
         are already in the URL-seen set, matching the reference where the
         dupefilter runs at schedule time and robots gating at download time).
 
-        Columnar: the block is stored once; per row only a 4-int heap tuple
-        is built. The robots gate is a set-membership fast path — rows on
-        hosts with no Disallow rules (the overwhelming majority) skip the
-        per-path prefix match entirely."""
-        if self.cfg.obey_robots and self._deny_hosts:
-            hosts = rows["host"].to_pylist()
-            urls = rows["url"].to_pylist()
-            allowed = np.ones(len(rows), dtype=bool)
-            deny = self._deny_hosts
-            for i, h in enumerate(hosts):
-                if h in deny and not self.robots[h].is_allowed(_path_of(urls[i])):
-                    allowed[i] = False
-            n_deny = int(len(allowed) - allowed.sum())
-            if n_deny:
-                self.n_robots_denied += n_deny
-                rows = rows.filter(pa.array(allowed))
+        The rows wait as one pending block until the next drain sorts them
+        into a run. Only rows of hosts with Disallow rules reach the
+        per-path robots match. A ``session`` column (a wave tail requeued
+        by ``ShardedFrontier.merge_wave``) is dropped: the row takes its
+        host's token again when it is emitted."""
+        rows = rows.select(schemas.FRONTIER.names)
+        if self.cfg.obey_robots and len(self._deny):
+            gated = np.flatnonzero(pc.is_in(rows["host"], value_set=self._deny).to_numpy())
+            sub = rows.take(gated)
+            denied = [i for i, h, u in zip(gated.tolist(), sub["host"].to_pylist(),
+                                           sub["url"].to_pylist())
+                      if not self.robots[h].is_allowed(_path_of(u))]
+            if denied:
+                self.n_robots_denied += len(denied)
+                rows = rows.take(np.setdiff1d(np.arange(len(rows)), denied))
         if len(rows) == 0:
             return 0
-        self.blocks.append(rows)
-        self._add_runs(len(self.blocks) - 1)
-        self._queued += len(rows)
+        self._add(rows, self._codes(rows["host"]))
         self.n_pushed += len(rows)
         self._maybe_spill()
         return len(rows)
 
-    def _add_runs(self, bid: int) -> None:
-        """Append one sorted run per host for block ``bid``: one dictionary
-        encode of its host column (codes in first-appearance order) +
-        lexsort by (host, -priority, seq), then each host's slice found by
-        searchsorted. Used by push, compaction and restore."""
-        rows = self.blocks[bid]
-        pris = rows["priority"].to_numpy(zero_copy_only=False).astype(np.int64)
-        seqs = rows["seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-        enc = rows["host"].combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        uniq_hosts = enc.dictionary.to_pylist()
-        order = np.lexsort((seqs, -pris, codes))
-        bounds = np.append(np.searchsorted(codes[order], np.arange(len(uniq_hosts))),
-                           len(order))
-        negpri, seq_s, idx_s = -pris[order], seqs[order], order.astype(np.int64)
-        for c, host in enumerate(uniq_hosts):
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            self.queues[host].append([negpri[lo:hi], seq_s[lo:hi], bid,
-                                      idx_s[lo:hi], 0])
-            if len(self.queues[host]) > 16:
-                self._merge_runs(host)
+    def _add(self, rows: pa.Table, codes: np.ndarray) -> None:
+        self._pending.append((rows, np.arange(len(rows)), codes,
+                              -rows["priority"].to_numpy().astype(np.int64),
+                              rows["seq"].to_numpy()))
+        self._live += np.bincount(codes, minlength=len(self._live))
+        self._queued += len(rows)
 
-    def _merge_runs(self, host: str) -> None:
-        # _run_pairs normalizes BOTH run shapes — plain (bid, 1-D row idx)
-        # and already-merged (bid=-1, (2,n) pairs) — so re-merging a host
-        # whose run list grew past the cap a second time is uniform.
-        runs = self.queues[host]
-        np_ = np.concatenate([r[0][r[4]:] for r in runs])
-        sq = np.concatenate([r[1][r[4]:] for r in runs])
-        pairs = np.concatenate([self._run_pairs(r) for r in runs], axis=1)
-        o = np.lexsort((sq, np_))
-        self.queues[host] = [[np_[o], sq[o], -1, pairs[:, o], 0]]
-        # bid == -1 marks a MERGED run whose idx field is a (2, n) array of
-        # (block_id, row_idx) pairs instead of row indices into one block
-
-    @staticmethod
-    def _run_pairs(run, upto: int | None = None) -> np.ndarray:
-        """(2, k) array of (block_id, row_idx) for the run's rows from pos
-        (exclusive of already-consumed) up to ``upto`` more rows."""
-        lo = run[4]
-        hi = len(run[1]) if upto is None else min(len(run[1]), lo + upto)
-        if run[2] == -1:
-            return run[3][:, lo:hi]
-        return np.stack([np.full(hi - lo, run[2], dtype=np.int64), run[3][lo:hi]])
-
-    def _take_pairs(self, pairs: np.ndarray) -> pa.Table:
-        """Gather a (2, n) (block_id, row_idx) array into one FRONTIER table."""
-        if pairs.size == 0:
-            return schemas.FRONTIER.empty_table()
-        parts = []
-        for bid in np.unique(pairs[0]):
-            ris = pairs[1][pairs[0] == bid]
-            parts.append(self.blocks[int(bid)].take(pa.array(ris, type=pa.int64())))
-        return pa.concat_tables(parts)
+    def _flush(self) -> None:
+        """Sort the pending pushes into one run, merged with the newest runs
+        while the new run holds at least half of the next one's live rows,
+        so a partition keeps O(log rows) runs; one take."""
+        if not self._pending:
+            return
+        pieces, self._pending = self._pending, []
+        n = sum(len(p[1]) for p in pieces)
+        while self._runs and 2 * n >= self._runs[-1].live:
+            pieces.append(self._runs[-1].live_piece())
+            n += self._runs.pop().live
+        self._runs.append(_Run(*_gather(pieces)))
 
     def next_wave(self, wave_idx: int) -> pa.Table:
         """Emit this wave's politeness-budgeted batch from every eligible
-        host. Full drain (cap >= queued) is vectorized set-taking — order
-        within the shard emission is irrelevant because the client sorts the
-        merged wave by (priority desc, seq). Capped drain pops the exact
-        (-priority, seq) top-k via a heap over run heads."""
+        host, sorted by (priority desc, seq). Each run offers the first
+        ``cap`` live rows of every ready host; one lexsort ranks the offers
+        within each host and the first ``cap`` are taken."""
+        cfg = self.cfg
         if self.spilled:
             self._unspill_ready(wave_idx)
-        picks: list[np.ndarray] = []
-        cfg = self.cfg
-        for host in list(self.queues):
-            runs = self.queues[host]
-            left = sum(len(r[1]) - r[4] for r in runs)
-            if left == 0:
-                del self.queues[host]
-                continue
-            delay = self._delay(host)
-            last = self.last_emit_wave.get(host, _NEVER)
-            ready = last + cfg.waves_per_emit(delay,
-                                              cfg.delay_jitter(host, last))
-            if wave_idx < ready:
-                continue
-            cap = 1 if delay > 0 else cfg.per_domain_cap
-            if cap >= left:                      # full drain, vectorized
-                for r in runs:
-                    picks.append(self._run_pairs(r))
-                self._queued -= left
-                del self.queues[host]
-            else:                                # exact top-cap via run heads
-                heads = [(int(r[0][r[4]]), int(r[1][r[4]]), i)
-                         for i, r in enumerate(runs) if r[4] < len(r[1])]
-                heapq.heapify(heads)
-                taken = 0
-                while taken < cap and heads:
-                    _, _, i = heapq.heappop(heads)
-                    r = runs[i]
-                    picks.append(self._run_pairs(r, upto=1))
-                    r[4] += 1
-                    taken += 1
-                    if r[4] < len(r[1]):
-                        heapq.heappush(heads, (int(r[0][r[4]]), int(r[1][r[4]]), i))
-                self._queued -= taken
-                self.queues[host] = [r for r in runs if r[4] < len(r[1])]
-                if not self.queues[host]:
-                    del self.queues[host]
-            self.last_emit_wave[host] = wave_idx
-        if not picks:
-            out = schemas.FRONTIER.empty_table()
-            if cfg.cookies:   # keep shard emissions concat-compatible
-                out = out.append_column("session",
-                                        pa.array([], type=pa.uint64()))
-            return out
-        out = self._take_pairs(np.concatenate(picks, axis=1))
-        self._maybe_compact()
+        self._flush()
+        c = np.flatnonzero(self._live)
+        d = self._delays(c)
+        ready = self._ready_at(c, d) <= wave_idx
+        c, caps = c[ready], np.where(d[ready] > 0, 1, cfg.per_domain_cap)
+        offers = [(r, *r.offer(c, caps)) for r in self._runs]
+        offers = [o for o in offers if len(o[3])]
+        if len(offers) > 1:   # rank each host's offers across runs
+            code = np.concatenate([np.repeat(r.codes[g], n) for r, g, n, _ in offers])
+            negpri = np.concatenate([r.negpri[i] for r, _, _, i in offers])
+            seq = np.concatenate([r.seq[i] for r, _, _, i in offers])
+            o = np.lexsort((seq, negpri, code))
+            rank = np.arange(len(o)) - np.searchsorted(code[o], code[o])
+            keep = np.empty(len(o), dtype=bool)
+            keep[o] = rank < caps[np.searchsorted(c, code[o])]
+            lo = 0
+            for k, (r, g, n, i) in enumerate(offers):
+                m = keep[lo:lo + len(i)]
+                lo += len(i)
+                gi = np.repeat(np.arange(len(g)), n)[m]
+                offers[k] = (r, g, np.bincount(gi, minlength=len(g)), i[m])
+        pieces = [r.piece(g, n, i) for r, g, n, i in offers]
+        for r, g, n, _ in offers:
+            r.consume(g, n)
+        self._runs = [r.compacted() for r in self._runs if r.live]
+        self._last[c] = wave_idx
+        out, code, _, _ = _gather(pieces, by_code=False)
+        self._live -= np.bincount(code, minlength=len(self._live))
+        self._queued -= len(code)
         if cfg.cookies:
             # F6: every request carries its host's current session token
-            # (0 = no session yet) — the Cookie header analogue
-            out = out.append_column("session", pa.array(
-                [self.sessions.get(h, 0) for h in out["host"].to_pylist()],
-                type=pa.uint64()))
+            # (0 = no session yet) — the Cookie header analogue; an empty
+            # emission gets the column too, so shard emissions concat
+            out = out.append_column("session", pa.array(self._session[code], pa.uint64()))
         return out
-
-    def _all_pairs(self) -> np.ndarray:
-        ps = [self._run_pairs(r) for runs in self.queues.values() for r in runs]
-        return (np.concatenate(ps, axis=1) if ps
-                else np.empty((2, 0), dtype=np.int64))
-
-    def _maybe_compact(self) -> None:
-        """Emitted rows stay in their blocks until consumed rows dominate;
-        then rebuild the live rows into one block and re-run the queues —
-        bounds block memory at O(live frontier)."""
-        held = sum(len(b) for b in self.blocks)
-        if held < 4096 or held <= 4 * max(1, self._queued):
-            return
-        live = self._take_pairs(self._all_pairs())
-        self.blocks = [live] if len(live) else []
-        self.queues = defaultdict(list)
-        if len(live):
-            self._add_runs(0)
 
     def size(self) -> int:
         return self._queued + sum(self.spilled.values())
 
     def earliest_ready_wave(self) -> int | None:
         """Smallest wave index at which any queued host may emit (None=empty)."""
-        best = None
-        for host, q in self.queues.items():
-            if not q:
-                continue
-            ready = self._ready_at(host)
-            best = ready if best is None else min(best, ready)
-        for host in self.spilled:
-            ready = self._ready_at(host)
-            best = ready if best is None else min(best, ready)
-        return best
+        c = np.union1d(np.flatnonzero(self._live), list(self.spilled)).astype(np.int64)
+        return int(self._ready_at(c, self._delays(c)).min()) if len(c) else None
 
     def stats(self) -> dict:
         return {"shard": self.shard_id, "queued": self.size(),
@@ -401,32 +419,24 @@ class FrontierShard:
                 "spilled_rows": sum(self.spilled.values()),
                 "spilled_rows_total": self.n_spilled_total,
                 "spilled_hosts": len(self.spilled),
-                "hosts": len(self.queues), "robots_denied": self.n_robots_denied,
-                "pushed": self.n_pushed}
+                "hosts": int(np.count_nonzero(self._live)),
+                "robots_denied": self.n_robots_denied, "pushed": self.n_pushed}
 
     def reset(self) -> None:
         """Back to construction state (driver-coordinated recovery when no
         committed checkpoint exists); robots rules are construction args and
         survive actor restart, so they stay."""
         self._drop_spill_files()
-        self.blocks = []
-        self.queues = defaultdict(list)
-        self._queued = 0
-        self.last_emit_wave = {}
-        self.at_delay = {}
-        self.sessions = {}
-        self.n_robots_denied = 0
-        self.n_pushed = 0
-        self.n_spilled_total = 0
+        self._clear()
 
     # --- checkpoint (SURVEY §4.2): queue rows + politeness clocks ---
     def checkpoint(self, dirpath: str) -> None:
         os.makedirs(dirpath, exist_ok=True)
-        t = self._take_pairs(self._all_pairs())
-        if self.spilled:   # disk-resident rows are frontier state too
-            t = pa.concat_tables(
-                [t] + [pq.read_table(self._spill_path(h))
-                       for h in sorted(self.spilled)])
+        pieces = [r.live_piece() for r in self._runs] + self._pending
+        t = pa.concat_tables(
+            [_gather(pieces)[0]]
+            # disk-resident rows are frontier state too
+            + [pq.read_table(self._spill_path(c)) for c in self.spilled])
         tmp = os.path.join(dirpath, f"frontier_{self.shard_id}.tmp")
         pq.write_table(t, tmp)
         os.replace(tmp, os.path.join(dirpath, f"frontier_{self.shard_id}.parquet"))
@@ -441,19 +451,21 @@ class FrontierShard:
 
     def restore(self, dirpath: str) -> None:
         t = pq.read_table(os.path.join(dirpath, f"frontier_{self.shard_id}.parquet"))
-        self._drop_spill_files()
-        self.queues = defaultdict(list)
-        self.blocks = [t] if len(t) else []
-        self._queued = len(t)
-        if len(t):
-            self._add_runs(0)
         with open(os.path.join(dirpath, f"clock_{self.shard_id}.json")) as fh:
             d = json.load(fh)
-        self.last_emit_wave = {k: int(v) for k, v in d["last_emit_wave"].items()}
-        self.at_delay = {k: float(v) for k, v in d.get("at_delay", {}).items()}
-        self.sessions = {k: int(v) for k, v in d.get("sessions", {}).items()}
+        total = self.n_spilled_total   # a lifetime counter, not checkpointed
+        self.reset()
+        self.n_spilled_total = total
+        for key, name in (("last_emit_wave", "_last"), ("at_delay", "_at"),
+                          ("sessions", "_session")):
+            vals = d.get(key, {})
+            c = self._codes(list(vals))
+            getattr(self, name)[c] = list(vals.values())
         self.n_robots_denied = d["n_robots_denied"]
         self.n_pushed = d["n_pushed"]
+        if len(t):
+            t = t.select(schemas.FRONTIER.names)
+            self._add(t, self._codes(t["host"]))
         self._maybe_spill()   # re-bound memory immediately after restore
 
 

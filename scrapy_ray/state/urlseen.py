@@ -107,7 +107,11 @@ class UrlSeenShard:
     def stats(self) -> dict:
         st = {"shard": self.shard_id, "n_seen": self.n_seen, "n_filtered": self.n_filtered}
         if not self.exact:
-            st["bloom_fill"] = self.bloom.fill_ratio()
+            # a new url is dropped as a false positive with probability
+            # fill^k: past bloom_capacity this exceeds what
+            # bloom_bits_per_key promised
+            st["bloom_fill"] = fill = self.bloom.fill_ratio()
+            st["bloom_fp_est"] = fill ** self.bloom.k
         return st
 
     # --- checkpoint (SURVEY §4.2): atomic per-shard segment of the mode's

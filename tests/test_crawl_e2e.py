@@ -328,7 +328,19 @@ def test_autothrottle_adapts_per_host(ray_session):
         sh.update_throttle(["slow.com", "fast.com"], np.array([8.0, 0.1]))
     assert sh.at_delay["slow.com"] > 3.5            # converges toward 8/2=4
     assert sh.at_delay["fast.com"] < 0.2            # converges toward 0.05
-    assert sh._delay("slow.com") > sh._delay("fast.com")
+    # the adapted delay paces emission: after one row each at wave 0, the
+    # fast host is ready again at wave 1, the slow one only at wave 4
+    import pyarrow as pa
+
+    from scrapy_ray import schemas
+    sh.push(pa.Table.from_pylist([
+        {"url": f"https://{h}/{i}", "host": h, "url_hash": i, "depth": 0,
+         "priority": 0, "seq": i, "parent_url": "", "callback": "parse",
+         "dont_filter": False, "retries": 0, "redirects": 0}
+        for i, h in enumerate(["slow.com", "fast.com"] * 2)], schema=schemas.FRONTIER))
+    assert len(sh.next_wave(0)) == 2 and sh.earliest_ready_wave() == 1
+    assert sh.next_wave(1)["host"].to_pylist() == ["fast.com"]
+    assert sh.earliest_ready_wave() == 4
 
 
 def test_retry_middleware_engine_matches_simulator(ray_session, e2e_corpus):

@@ -215,6 +215,10 @@ def test_shard_counts_fail_fast(field, value):
     ({"checkpoint_every": 0}, "CrawlConfig.checkpoint_every must be >= 1, got 0"),
     ({"bloom_capacity": 0}, "CrawlConfig.bloom_capacity must be >= 1, got 0"),
     ({"bloom_bits_per_key": 0}, "CrawlConfig.bloom_bits_per_key must be >= 1, got 0"),
+    ({"at_target_concurrency": 0.0}, "CrawlConfig.at_target_concurrency must be > 0, got 0.0"),
+    ({"at_bytes_per_sec": -5.0}, "CrawlConfig.at_bytes_per_sec must be > 0, got -5.0"),
+    ({"frontier_max_rows": -1},
+     r"CrawlConfig.frontier_max_rows must be >= 0 \(0 = off\), got -1"),
 ])
 def test_crawl_config_rejects_bad_settings(kwargs, match):
     """The config validates itself: every engine entry point (run_crawl, a
@@ -222,7 +226,10 @@ def test_crawl_config_rejects_bad_settings(kwargs, match):
     them: a per_domain_cap below 1 emits nothing and the crawl never ends,
     a wave_period of 0 divides by zero in waves_per_emit, a negative
     max_wave_urls slices the wave at a negative offset, a checkpoint_every
-    below 1 used to mean 1, and a Bloom filter sized below 1 holds no keys."""
+    below 1 used to mean 1, a Bloom filter sized below 1 holds no keys, an
+    at_target_concurrency of 0 divides by zero in update_throttle, an
+    at_bytes_per_sec of 0 gives every host an infinite virtual latency, and
+    a negative frontier_max_rows spills every host on every push."""
     with pytest.raises(ValueError, match=match):
         CrawlConfig(**kwargs)
 

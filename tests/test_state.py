@@ -4,20 +4,24 @@ ordering, checkpoint round-trips) — SURVEY.md §5.2.6."""
 
 from __future__ import annotations
 
+import heapq
+import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
 from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.state.bloom import BloomFilter
-from scrapy_ray.state.frontier import FrontierShard, _path_of
+from scrapy_ray.state.frontier import _NEVER, FrontierShard, _path_of
 from scrapy_ray.state.robots import parse_robots
 from scrapy_ray.state.urlseen import UrlSeenShard
 
@@ -172,7 +176,9 @@ def test_urlseen_bloom_only_false_positives_within_bound():
     before the batch, holding n keys, so each never-sent url is a false
     positive with probability p(n) = (1 - e^{-k·n/m})^k: about 0.82% at
     capacity and 10 bits per key. The counts must lie within 4 binomial
-    standard deviations of those expectations."""
+    standard deviations of those expectations, and of the shard's own
+    ``bloom_fp_est`` (fill^k) at capacity; past capacity that estimate
+    rises above the bound."""
     cap = 20_000
     bloom = UrlSeenShard(0, capacity=cap, bits_per_key=10, exact=False)
     shadow = UrlSeenShard(0)
@@ -197,12 +203,16 @@ def test_urlseen_bloom_only_false_positives_within_bound():
     assert abs(fill_fp - expect) <= 4 * math.sqrt(var), (fill_fp, expect)
 
     assert 0.0081 < p(cap) < 0.0083               # ≈ 0.82% at 10 bits/key
+    est = bloom.stats()["bloom_fp_est"]          # fill^k of the filter probed
     probe = [f"https://probe.example/q{i}" for i in range(20_000)]
     fp, n_new, pb = run((hash64(probe), pa.array(probe)))
     assert n_new == len(probe) and pb <= p(cap)
-    sd = math.sqrt(n_new * pb * (1 - pb))
-    assert abs(fp - n_new * pb) <= 4 * sd, (fp, n_new * pb)
+    for rate in (pb, est):
+        sd = math.sqrt(n_new * rate * (1 - rate))
+        assert abs(fp - n_new * rate) <= 4 * sd, (fp, n_new * rate)
     assert bloom.n_seen == shadow.n_seen - fill_fp - fp
+    # the probe took the filter past capacity: the estimate says so
+    assert bloom.bloom.n_added > cap and bloom.stats()["bloom_fp_est"] > 2 * p(cap)
 
 
 def _rows(specs):
@@ -292,13 +302,13 @@ def test_frontier_emission_order_property(entries):
 
 
 def test_frontier_repeated_run_merge():
-    """Regression (r3 ADVICE): a host whose run list exceeds the merge cap a
-    SECOND time mixes an already-merged run (bid=-1, (2,n) idx pairs) with
-    plain runs — the old _merge_runs concatenated 1-D and 2-D idx arrays and
-    raised ValueError, killing the crawl under politeness-capped drain."""
+    """Many one-row pushes of one host, drained at once: every row comes out
+    exactly once, in (priority desc, seq) order. (Regression: an older
+    layout re-merged a host's run list twice and raised ValueError, killing
+    the crawl under politeness-capped drain.)"""
     cfg = CrawlConfig(per_domain_cap=1_000_000)
     f = FrontierShard(0, cfg)
-    n = 40  # two merge cycles at the >16-runs threshold
+    n = 40  # forty one-row pushes, all pending at the one drain
     for i in range(n):
         f.push(_rows([(f"https://a/{i}", "a", i % 7, i)]))
     w = f.next_wave(0)
@@ -310,9 +320,9 @@ def test_frontier_repeated_run_merge():
 
 
 def test_frontier_merge_after_partial_drain():
-    """Merged runs with pos>0 (partially consumed) must re-merge correctly:
-    drain a few rows under a per-host cap, then keep pushing past the merge
-    threshold again and verify emission order and no row loss."""
+    """Partially consumed runs must merge correctly: drain a few rows under
+    a per-host cap, then keep pushing one row at a time (each push merges
+    runs again) and verify emission order and no row loss."""
     cfg = CrawlConfig(per_domain_cap=3)
     f = FrontierShard(0, cfg)
     for i in range(20):
@@ -327,6 +337,233 @@ def test_frontier_merge_after_partial_drain():
         seqs.extend(f.next_wave(wave)["seq"].to_pylist())
         wave += 1
     assert seqs == list(range(3, 40))
+
+
+class _RefFrontier:
+    """Per-host ``heapq`` reference for one frontier partition, written from
+    the politeness rules in config.py: a host emits when ``wave >= last +
+    cfg.waves_per_emit(delay, cfg.delay_jitter(host, last))``, up to 1 row
+    if its delay is > 0, else up to ``per_domain_cap``, in (priority desc,
+    seq) order. Spilling and checkpoints are invisible to it."""
+
+    def __init__(self, cfg: CrawlConfig, robots_bodies: dict[str, str]):
+        self.cfg = cfg
+        self.robots = {h: parse_robots(b, cfg.user_agent) for h, b in robots_bodies.items()}
+        self.heaps: dict[str, list] = {}
+        self.last: dict[str, int] = {}
+        self.at: dict[str, float] = {}
+        self.sessions: dict[str, int] = {}
+
+    def push(self, specs) -> None:
+        for url, host, pri, seq in specs:
+            rules = self.robots.get(host)
+            if self.cfg.obey_robots and rules and not rules.is_allowed(_path_of(url)):
+                continue
+            heapq.heappush(self.heaps.setdefault(host, []), (-pri, seq, url))
+
+    def update_throttle(self, hosts, latencies) -> None:
+        cfg = self.cfg
+        for h, lat in zip(hosts, latencies):
+            new = (self.at.get(h, cfg.at_start_delay) + lat / cfg.at_target_concurrency) / 2.0
+            self.at[h] = min(max(new, cfg.download_delay), cfg.at_max_delay)
+
+    def delay(self, host: str) -> float:
+        cfg = self.cfg
+        robots = (self.robots[host].crawl_delay
+                  if cfg.respect_crawl_delay and host in self.robots else 0.0)
+        at = self.at.get(host, cfg.at_start_delay) if cfg.autothrottle else 0.0
+        return max(cfg.download_delay, robots, at)
+
+    def ready_at(self, host: str) -> int:
+        last = self.last.get(host, _NEVER)
+        return last + self.cfg.waves_per_emit(self.delay(host),
+                                              self.cfg.delay_jitter(host, last))
+
+    def next_wave(self, wave: int) -> list[tuple]:
+        out = []
+        for host, q in self.heaps.items():
+            if q and wave >= self.ready_at(host):
+                cap = 1 if self.delay(host) > 0 else self.cfg.per_domain_cap
+                for _ in range(min(cap, len(q))):
+                    negpri, seq, url = heapq.heappop(q)
+                    out.append((-negpri, seq, url,
+                                self.sessions.get(host, 0) if self.cfg.cookies else 0))
+                self.last[host] = wave
+        return sorted(out)
+
+    def earliest_ready_wave(self) -> int | None:
+        return min((self.ready_at(h) for h, q in self.heaps.items() if q), default=None)
+
+    def size(self) -> int:
+        return sum(map(len, self.heaps.values()))
+
+
+def _emitted(t: pa.Table) -> list[tuple]:
+    sessions = (t["session"].to_pylist() if "session" in t.column_names
+                else [0] * len(t))
+    return sorted(zip(t["priority"].to_pylist(), t["seq"].to_pylist(),
+                      t["url"].to_pylist(), sessions))
+
+
+@st.composite
+def _frontier_scripts(draw):
+    cfg = dict(per_domain_cap=draw(st.sampled_from([1, 2, 8])),
+               download_delay=draw(st.sampled_from([0.0, 0.0, 0.5, 2.0])),
+               randomize_download_delay=draw(st.booleans()),
+               wave_period=draw(st.sampled_from([1.0, 0.7])),
+               autothrottle=draw(st.booleans()),
+               at_start_delay=draw(st.sampled_from([0.0, 1.0])), at_max_delay=3.0,
+               cookies=draw(st.booleans()), obey_robots=draw(st.booleans()),
+               respect_crawl_delay=draw(st.booleans()),
+               frontier_max_rows=draw(st.sampled_from([0, 0, 40, 150])))
+    n_hosts = draw(st.integers(1, 40))
+    host = st.integers(0, n_hosts - 1)
+    push = st.tuples(st.just("push"), st.lists(st.tuples(host, st.integers(-2, 2)),
+                                               min_size=1, max_size=80))
+    wave = st.tuples(st.just("wave"), st.integers(1, 3))
+    # pushes between waves leave several runs with rows of one host: the
+    # case where a wave ranks each host's rows across runs
+    steps = draw(st.lists(st.one_of(
+        push, wave, push, wave,
+        st.tuples(st.just("throttle"), st.lists(
+            st.tuples(host, st.floats(0.0, 12.0)), max_size=6, unique_by=lambda x: x[0])),
+        st.tuples(st.just("sessions"), st.lists(
+            st.tuples(host, st.integers(1, 2**64 - 1)), max_size=6, unique_by=lambda x: x[0])),
+        st.tuples(st.just("checkpoint"), st.integers(0, 2**32 - 1)),
+    ), min_size=8, max_size=40))
+    return cfg, n_hosts, steps
+
+
+def _robots_bodies(n_hosts: int) -> dict[str, str]:
+    """Disallow on every 3rd host, Crawl-delay on every 4th."""
+    out = {}
+    for i in range(n_hosts):
+        lines = (["Disallow: /hotel/"] if i % 3 == 0 else []) + (
+            ["Crawl-delay: 1.5"] if i % 4 == 1 else [])
+        if lines:
+            out[f"h{i}.example"] = "\n".join(["User-agent: *"] + lines) + "\n"
+    return out
+
+
+def _restore_shuffled(f: FrontierShard, cfg: CrawlConfig, robots: dict[str, str],
+                      dirpath: str, seed_: int) -> FrontierShard:
+    """Checkpoint ``f``, shuffle the rows of its frontier file (a reader may
+    not rely on their order) and restore them into a new partition."""
+    f.checkpoint(dirpath)
+    path = os.path.join(dirpath, f"frontier_{f.shard_id}.parquet")
+    t = pq.read_table(path)
+    pq.write_table(t.take(np.random.default_rng(seed_).permutation(len(t))), path)
+    g = FrontierShard(f.shard_id, cfg, robots)
+    g.restore(dirpath)
+    return g
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None, database=None)
+@given(_frontier_scripts())
+def test_frontier_matches_per_host_heap_reference(script):
+    """Differential property: a FrontierShard and the per-host heap reference
+    get the same script of pushes over many hosts, AutoThrottle and session
+    updates, checkpoint -> shuffled restore and waves, under a drawn config
+    (cap, delay, jitter, AutoThrottle, cookies, robots Disallow and
+    Crawl-delay, spill cap). Every wave's emission, ``earliest_ready_wave()``
+    and ``size()`` agree, through a final drain."""
+    cfg_kw, n_hosts, steps = script
+    robots = _robots_bodies(n_hosts)
+    seq = 0
+    wave = -1
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = CrawlConfig(frontier_spill_dir=os.path.join(tmp, "spill"), **cfg_kw)
+        f, ref = FrontierShard(0, cfg, robots), _RefFrontier(cfg, robots)
+
+        def check(step):
+            assert f.size() == ref.size(), step
+            assert f.earliest_ready_wave() == ref.earliest_ready_wave(), step
+
+        for i, (op, arg) in enumerate(steps):
+            if op == "push":
+                specs = [(f"https://h{h}.example/{('hotel', 'list')[j % 2]}/{seq + j}",
+                          f"h{h}.example", pri, seq + j) for j, (h, pri) in enumerate(arg)]
+                seq += len(specs)
+                f.push(_rows(specs))
+                ref.push(specs)
+                if cfg.frontier_max_rows:
+                    assert f.stats()["mem_rows"] <= cfg.frontier_max_rows
+            elif op == "throttle":
+                hosts = [f"h{h}.example" for h, _ in arg]
+                f.update_throttle(hosts, [lat for _, lat in arg])
+                ref.update_throttle(hosts, [lat for _, lat in arg])
+            elif op == "sessions":
+                f.update_sessions([f"h{h}.example" for h, _ in arg], [t for _, t in arg])
+                ref.sessions.update((f"h{h}.example", t) for h, t in arg)
+            elif op == "checkpoint":
+                f = _restore_shuffled(f, cfg, robots, os.path.join(tmp, f"ck{i}"), arg)
+            else:
+                wave += arg
+                assert _emitted(f.next_wave(wave)) == ref.next_wave(wave), (i, wave)
+            check((i, op))
+        while ref.size():
+            wave = max(wave + 1, ref.earliest_ready_wave())
+            assert _emitted(f.next_wave(wave)) == ref.next_wave(wave), ("drain", wave)
+            check(("drain", wave))
+        assert f.size() == 0 and not f.spilled
+
+
+def test_frontier_restores_a_shuffled_checkpoint_with_idle_hosts(tmp_path):
+    """A checkpoint whose frontier rows are in any order, and whose clock
+    names hosts that have no queued rows (drained or spilled away), restores
+    into a partition that drains like the original and like the reference."""
+    robots = _robots_bodies(12)
+    cfg = CrawlConfig(per_domain_cap=2, download_delay=0.0, autothrottle=True,
+                      at_start_delay=0.0, cookies=True, frontier_max_rows=30,
+                      frontier_spill_dir=str(tmp_path / "spill"))
+    specs = [(f"https://h{i % 12}.example/list/{i}", f"h{i % 12}.example",
+              (i * 7) % 5 - 2, i) for i in range(90)]
+    specs += [(f"https://idle{i}.example/list/{100 + i}", f"idle{i}.example", 0, 100 + i)
+              for i in range(3)]
+    f, ref = FrontierShard(0, cfg, robots), _RefFrontier(cfg, robots)
+    f.push(_rows(specs))
+    ref.push(specs)
+    f.update_throttle(["h1.example", "idle2.example"], [4.0, 9.0])
+    ref.update_throttle(["h1.example", "idle2.example"], [4.0, 9.0])
+    f.update_sessions(["h2.example", "idle0.example"], [7, 8])
+    ref.sessions.update({"h2.example": 7, "idle0.example": 8})
+    for w in range(2):
+        assert _emitted(f.next_wave(w)) == ref.next_wave(w)
+    more = [(f"https://h{i % 5}.example/hotel/{i}", f"h{i % 5}.example", i % 3, i)
+            for i in range(200, 240)]
+    f.push(_rows(more))
+    ref.push(more)
+    assert f.stats()["spilled_hosts"] > 0
+    g = _restore_shuffled(f, cfg, robots, str(tmp_path / "ck"), 5)
+    clock = json.loads((tmp_path / "ck" / "clock_0.json").read_text())
+    idle = {"idle0.example", "idle1.example", "idle2.example"}
+    assert idle <= set(clock["last_emit_wave"]) and not any(ref.heaps[h] for h in idle)
+    assert g.last_emit_wave == f.last_emit_wave
+    assert g.at_delay == f.at_delay and g.sessions == f.sessions
+    assert g.stats()["queued"] == f.stats()["queued"] == ref.size()
+    w = 1
+    while ref.size():
+        w = max(w + 1, ref.earliest_ready_wave())
+        want = ref.next_wave(w)
+        assert _emitted(g.next_wave(w)) == _emitted(f.next_wave(w)) == want, w
+
+
+def test_frontier_requeued_wave_tail_drops_its_session_column():
+    """``ShardedFrontier.merge_wave`` pushes the tail of a capped wave back
+    with the ``session`` column the shards attached. The partition drops it,
+    so later waves still concat, and each row carries its host's token as of
+    its own emission."""
+    f = FrontierShard(0, CrawlConfig(cookies=True, per_domain_cap=2))
+    f.push(_rows([(f"https://a/{i}", "a", 0, i) for i in range(5)]))
+    f.update_sessions(["a"], [7])
+    w0 = f.next_wave(0)
+    assert w0["session"].to_pylist() == [7, 7]
+    f.push(w0.slice(1))                        # the tail past a cap of 1
+    f.update_sessions(["a"], [9])
+    assert _emitted(f.next_wave(1)) == [(0, 1, "https://a/1", 9), (0, 2, "https://a/2", 9)]
+    assert f.next_wave(2).schema == f.next_wave(3).schema
+    assert f.size() == 0
 
 
 def test_robots_wildcards_and_anchors():
