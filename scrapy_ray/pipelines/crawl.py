@@ -20,19 +20,20 @@ Each wave:
    (redirect targets, then retries, each by original seq) -> ``_schedule``:
    one batched anti-join against the URL-seen partitions (url_hash
    routing; retries skip it) and consecutive seqs -> ONE ``end_wave`` RPC
-   per shard actor, routed by hash(host): its slices of the new rows and
-   of the fetch tasks' per-host feedback (``FetchResult.hosts``, one
-   ``schemas.HOSTS`` partial per task, which the shard reduces before its
-   session and AutoThrottle updates), then push to its frontier partition
-   and drain the next wave.
+   per shard actor, routed by hash(host): for each partition it hosts,
+   the slices of the new rows and of the fetch tasks' per-host feedback
+   (``FetchResult.hosts``, one ``schemas.HOSTS`` partial per task, which
+   the shard reduces before its session and AutoThrottle updates), then
+   push to its frontier partitions and drain the next wave.
 5. every ``checkpoint_every`` waves: that same ``end_wave`` RPC has each
-   shard actor checkpoint both of its partitions (queue / clocks, exact
+   shard actor checkpoint all of its partitions (queue / clocks, exact
    set or Bloom filter) atomically, and the driver writes a manifest with
    per-wave lineage + metrics — a killed run resumes at the last complete
    wave exactly [B:north_rule].
 
-Shard state lives in one ``ShardPool`` (state/shard.py): CrawlShard actor
-*i* holds URL-seen partition *i* and frontier partition *i*;
+Shard state lives in one ``ShardPool`` (state/shard.py), sized to the
+cluster's CPUs: URL-seen partition *i* and frontier partition *i* share a
+CrawlShard actor, and an actor may host several partition indices;
 ``self.urlseen`` and ``self.frontier`` are routing views over it.
 
 Library code: no ray.init() here — the caller owns the session.
@@ -420,13 +421,13 @@ class CrawlEngine:
                 raise RuntimeError(f"stale wave prefetch {pf_idx} != "
                                    f"{self.wave_idx}")
             try:
-                parts = ray.get(pf)
+                parts = self.shards.gather(pf)
             except Exception as e:
                 # a non-checkpoint wave's end_wave error surfaces here, one
                 # wave late; same exception type, so recovery still runs
                 e.add_note(f"raised by the end_wave RPC of wave {pf_idx - 1}")
                 raise
-            wave = self.frontier.merge_wave([p for p in parts if p is not None])
+            wave = self.frontier.merge_wave(parts)
         else:
             wave = self.frontier.next_wave(self.wave_idx)
         self.phase_times["next_wave"] += _time.perf_counter() - _t0
@@ -497,10 +498,10 @@ class CrawlEngine:
         n_new = len(all_rows)
 
         # --- end-of-wave overlap: advance the wave index, then submit ONE
-        # end_wave RPC per shard actor carrying its slices of the new rows
-        # and of the fetch tasks' per-host feedback (fetched.hosts, reduced
-        # shard-side) + the optional checkpoint request
-        # (both partitions' segments) + the next wave's drain request,
+        # end_wave RPC per shard actor carrying, per hosted partition, its
+        # slices of the new rows and of the fetch tasks' per-host feedback
+        # (fetched.hosts, reduced shard-side) + the optional checkpoint
+        # request (every partition's segments) + the next wave's drain request,
         # applied shard-side in the order sessions → throttle → push →
         # checkpoint → drain (the checkpoint captures pre-drain state). The
         # driver then does its sink/metrics work while the shards process.

@@ -51,6 +51,7 @@ import pyarrow.parquet as pq
 import ray
 
 from scrapy_ray import schemas
+from scrapy_ray.util import cluster_cpus
 
 _REQUEUE_RESET = {"parent_url": "", "dont_filter": False, "retries": 0,
                   "redirects": 0}
@@ -290,7 +291,7 @@ class FetchPlan:
             paths=paths,
             n_buckets=int(n_buckets if n_buckets is not None
                           else meta["spec"]["n_buckets"]),
-            cpus=max(1, int(ray.cluster_resources().get("CPU", 8))),
+            cpus=cluster_cpus(),
             # worker processes never see driver-side registrations, so the
             # tasks read this snapshot (registry.py, SURVEY §2.10)
             registry=(dict(PAGE_HANDLERS), list(URL_ROUTES), list(CRAWL_RULES)),

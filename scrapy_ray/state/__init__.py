@@ -1,6 +1,7 @@
-"""Stateful actor-pool layer (SURVEY.md §2.3): one CrawlShard actor per
-partition holding the URL-seen filter and frontier (politeness + robots)
-partitions, with the routing views over them; metrics; checkpoints."""
+"""Stateful actor-pool layer (SURVEY.md §2.3): a pool of CrawlShard actors,
+sized to the cluster's CPUs, hosting the URL-seen filter and frontier
+(politeness + robots) partitions, with the routing views over them;
+metrics; checkpoints."""
 
 from scrapy_ray.state.bloom import BloomFilter
 from scrapy_ray.state.robots import RobotsRules, parse_robots

@@ -6,9 +6,9 @@ download slots ([S:scrapy/core/scheduler.py], [S:scrapy/pqueues.py],
 [S:scrapy/core/downloader/__init__.py Slot]). Here the frontier is
 hash-partitioned by **host** [B:north_rule] — politeness and the robots
 cache need all of a host's URLs in one place (a co-located lookup, never a
-shuffle — SURVEY §2.4 J2). Partition *i* lives in CrawlShard actor *i*
-(state/shard.py), which owns the epoch guard, the actor options and the
-checkpoint fan-out. Each partition holds, columnar and vectorized over
+shuffle — SURVEY §2.4 J2). Partition *i* lives in a CrawlShard actor of the
+pool (state/shard.py), which owns the epoch guard, the actor options and
+the one fan-out. Each partition holds, columnar and vectorized over
 hosts:
 
 - a host → code map (codes fixed until ``reset``) and per-host state in
@@ -38,7 +38,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
@@ -53,12 +52,17 @@ def _path_of(url: str) -> str:
     return url[j:] if j >= 0 else "/"
 
 
-def host_shard(hosts: list[str], n_shards: int) -> np.ndarray:
-    """Frontier partition of each host: ``hash64(host) % n_shards``.
-    Driver-side only; the import stays local so that a shard process never
-    loads polars."""
+def host_shard(hosts: list[str] | pa.Array | pa.ChunkedArray,
+               n_shards: int) -> np.ndarray:
+    """Frontier partition of each host (a list or an Arrow string column):
+    ``hash64(host) % n_shards``. Driver-side only; the imports stay local so
+    that a shard process never loads polars."""
+    import polars as pl
+
     from scrapy_ray.functions.hashing import hash64
 
+    if not isinstance(hosts, list):
+        hosts = pl.from_arrow(hosts)
     return (hash64(hosts) % np.uint64(n_shards)).astype(np.int64)
 
 
@@ -446,16 +450,15 @@ class FrontierShard:
                        "at_delay": self.at_delay,
                        "sessions": self.sessions,
                        "n_robots_denied": self.n_robots_denied,
-                       "n_pushed": self.n_pushed}, fh)
+                       "n_pushed": self.n_pushed,
+                       "n_spilled_total": self.n_spilled_total}, fh)
         os.replace(jtmp, os.path.join(dirpath, f"clock_{self.shard_id}.json"))
 
     def restore(self, dirpath: str) -> None:
         t = pq.read_table(os.path.join(dirpath, f"frontier_{self.shard_id}.parquet"))
         with open(os.path.join(dirpath, f"clock_{self.shard_id}.json")) as fh:
             d = json.load(fh)
-        total = self.n_spilled_total   # a lifetime counter, not checkpointed
         self.reset()
-        self.n_spilled_total = total
         for key, name in (("last_emit_wave", "_last"), ("at_delay", "_at"),
                           ("sessions", "_session")):
             vals = d.get(key, {})
@@ -467,76 +470,78 @@ class FrontierShard:
             t = t.select(schemas.FRONTIER.names)
             self._add(t, self._codes(t["host"]))
         self._maybe_spill()   # re-bound memory immediately after restore
+        # the writer's lifetime count (0 in checkpoints older than the key);
+        # the re-spill above only re-bounds restored rows
+        self.n_spilled_total = d.get("n_spilled_total", 0)
 
 
 class ShardedFrontier:
     """Driver-side routing view over the frontier partitions of a ShardPool
-    (state/shard.py): actor *i* holds the hosts with ``host_shard == i``."""
+    (state/shard.py): partition ``host_shard == i`` lives in ``shards[i]``."""
 
     def __init__(self, pool):
         self._pool = pool
         self.cfg = pool.cfg
         self.n_shards = pool.cfg.n_frontier_shards
-        self.shards = pool.actors[:self.n_shards]
+        self.shards = [pool.actors[i % len(pool.actors)] for i in range(self.n_shards)]
 
     def push(self, rows: pa.Table) -> int:
         """Route rows to their host's shard and wait for every push; returns
         the number of rows the shards accepted."""
-        return sum(ray.get([
-            self.shards[s].call.remote("frontier", "push", part,
-                                       epoch=self._pool.epoch)
-            for s, part in enumerate(self._route(rows)) if part is not None]))
+        return sum(self._pool.call("frontier", "push", {
+            s: (part,) for s, part in self._route(rows).items()}).values())
 
     def sessions(self) -> dict[str, int]:
         """Merged host -> session-token map (disjoint by host partitioning)."""
         out: dict[str, int] = {}
-        for d in ray.get([s.call.remote("frontier", "get_sessions", epoch=self._pool.epoch)
-                          for s in self.shards]):
+        for d in self._pool.call("frontier", "get_sessions").values():
             out.update(d)
         return out
 
-    def _route(self, t: pa.Table | None) -> list:
-        """Per pool actor, the IPC slice of the rows of ``t`` (FRONTIER or
-        HOSTS) whose host its frontier partition owns, or None."""
-        out = [None] * len(self._pool.actors)
-        if t is not None and len(t):
-            shard = host_shard(t["host"].to_pylist(), self.n_shards)
-            for s in np.unique(shard).tolist():
-                out[s] = schemas.to_ipc(t.take(pa.array(np.flatnonzero(shard == s))))
-        return out
+    def _route(self, t: pa.Table | None) -> dict[int, pa.Buffer]:
+        """Per frontier partition, the IPC slice of the rows of ``t``
+        (FRONTIER or HOSTS) whose host it owns; partitions without rows are
+        left out."""
+        if t is None or not len(t):
+            return {}
+        shard = host_shard(t["host"], self.n_shards)
+        return {s: schemas.to_ipc(t.take(pa.array(np.flatnonzero(shard == s))))
+                for s in np.unique(shard).tolist()}
 
     def end_wave_async(self, rows: pa.Table | None, hosts: pa.Table | None,
                        ckpt_dir: str | None, next_wave_idx: int | None) -> list:
         """Submit the merged end-of-wave RPC (CrawlShard.end_wave) — ONE
-        submission per actor carrying that actor's slices of the new rows
-        and of the wave's per-host feedback (``hosts``, schemas.HOSTS) +
-        the optional checkpoint/drain requests. A checkpoint request goes
-        to EVERY actor of the pool, including those that hold only a
-        URL-seen partition (they get no rows and no drain). Actors with no
-        payload and no request are skipped. Returns futures; a future
-        resolves to the actor's next-wave part (an IPC buffer, see
-        merge_wave), or None when it was not asked to drain.
+        submission per actor carrying, for each partition it hosts, that
+        partition's slices of the new rows and of the wave's per-host
+        feedback (``hosts``, schemas.HOSTS) + the optional checkpoint/drain
+        requests. A checkpoint request goes to EVERY partition index of the
+        pool, URL-seen-only ones included (they get no rows and drain
+        nothing), a drain request to every frontier partition; otherwise
+        only partitions with a payload are sent, and actors hosting none of
+        them get no RPC.
+        Returns futures for ``ShardPool.gather``, which gives each drained
+        partition's next-wave part (an IPC buffer, see merge_wave).
 
         Errors surface when the futures are read: on a checkpoint wave
         before the commit, otherwise when the next wave consumes the
         prefetch; ``CrawlEngine.run_wave`` then notes the wave whose
         end_wave raised. Recovery rolls every shard back to the last
         committed checkpoint either way."""
-        futs = []
-        for s, (srows, shosts) in enumerate(zip(self._route(rows),
-                                                self._route(hosts))):
-            drain = next_wave_idx if s < self.n_shards else None
-            if (srows is None and shosts is None and ckpt_dir is None
-                    and drain is None):
-                continue
-            futs.append(self._pool.actors[s].end_wave.remote(
-                srows, shosts, ckpt_dir, drain, epoch=self._pool.epoch))
-        return futs
+        rows, hosts = self._route(rows), self._route(hosts)
+        if ckpt_dir is not None:
+            targets = range(self._pool.n_parts)
+        elif next_wave_idx is not None:
+            targets = range(self.n_shards)
+        else:
+            targets = sorted(rows.keys() | hosts.keys())
+        return self._pool.fan("end_wave", {i: (rows.get(i), hosts.get(i)) for i in targets},
+                              ckpt_dir, next_wave_idx, wait=False)
 
-    def merge_wave(self, parts: list) -> pa.Table:
-        """Merge the shards' drained parts (IPC buffers) into the wave:
-        sort by (priority desc, seq asc), then apply max_wave_urls."""
-        t = pa.concat_tables([schemas.from_ipc(p) for p in parts])
+    def merge_wave(self, parts: dict[int, pa.Buffer]) -> pa.Table:
+        """Merge the partitions' drained parts (IPC buffers by partition)
+        into the wave: sort by (priority desc, seq asc), then apply
+        max_wave_urls."""
+        t = pa.concat_tables([schemas.from_ipc(p) for p in parts.values()])
         if len(t) == 0:
             return t
         t = t.sort_by([("priority", "descending"), ("seq", "ascending")])
@@ -554,16 +559,13 @@ class ShardedFrontier:
         """Drain every shard's politeness-budgeted batch for ``wave_idx``
         and merge them into the wave. The engine usually gets the drained
         parts from end_wave_async's prefetch instead and calls merge_wave."""
-        return self.merge_wave(ray.get([
-            s.call.remote("frontier", "next_wave", wave_idx, epoch=self._pool.epoch)
-            for s in self.shards]))
+        return self.merge_wave(self._pool.call("frontier", "next_wave", dict.fromkeys(
+            range(self.n_shards), (wave_idx,))))
 
     def earliest_ready_wave(self) -> int | None:
-        vals = [v for v in ray.get([
-            s.call.remote("frontier", "earliest_ready_wave", epoch=self._pool.epoch)
-            for s in self.shards]) if v is not None]
+        vals = [v for v in self._pool.call("frontier", "earliest_ready_wave").values()
+                if v is not None]
         return min(vals) if vals else None
 
     def stats(self) -> list[dict]:
-        return ray.get([s.call.remote("frontier", "stats", epoch=self._pool.epoch)
-                        for s in self.shards])
+        return list(self._pool.call("frontier", "stats").values())

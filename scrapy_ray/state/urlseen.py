@@ -4,9 +4,9 @@
 The reference keeps one in-process set of request fingerprints
 ([S:scrapy/dupefilters.py RFPDupeFilter]); that cannot hold 10^10 URLs in one
 heap, so here it is partitioned by ``url_hash % n_filter_shards``; partition
-*i* lives in CrawlShard actor *i* (state/shard.py), which owns the epoch
-guard, the actor options and the checkpoint fan-out. Each partition holds ONE
-membership structure, chosen by ``CrawlConfig.exact_urlseen``:
+*i* lives in a CrawlShard actor of the pool (state/shard.py), which owns
+the epoch guard, the actor options and the one fan-out. Each partition
+holds ONE membership structure, chosen by ``CrawlConfig.exact_urlseen``:
 
 - exact (the default): sorted uint64 hash segments with their urls as Arrow
   string arrays — the byte-exact URL-seen set the goldens compare
@@ -15,10 +15,10 @@ membership structure, chosen by ``CrawlConfig.exact_urlseen``:
   memory-bounded path to 10^10 URLs, which silently drops the ~0.8% of new
   URLs that are false positives at 10 bits per key.
 
-``check_and_add`` is a batched RPC: the candidate anti-join is one message per
-partition per wave, not one per URL. First occurrence within a batch wins (the
-batch arrives in canonical (parent_seq, link_idx) order, so "first" is
-deterministic).
+``check_and_add`` is batched: the candidate anti-join is one message per
+actor per wave, carrying each hosted partition's slice, not one per URL.
+First occurrence within a batch wins (the batch arrives in canonical
+(parent_seq, link_idx) order, so "first" is deterministic).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from scrapy_ray import schemas
 from scrapy_ray.state.bloom import BloomFilter
@@ -164,12 +163,13 @@ class UrlSeenShard:
 
 class ShardedUrlSeen:
     """Driver-side routing view over the URL-seen partitions of a ShardPool
-    (state/shard.py): actor *i* holds partition ``url_hash % n_shards == i``."""
+    (state/shard.py): partition ``url_hash % n_shards == i`` lives in
+    ``shards[i]``."""
 
     def __init__(self, pool):
         self._pool = pool
         self.n_shards = pool.cfg.n_filter_shards
-        self.shards = pool.actors[:self.n_shards]
+        self.shards = [pool.actors[i % len(pool.actors)] for i in range(self.n_shards)]
 
     def check_mask(self, hashes: np.ndarray, urls_arr: pa.Array) -> np.ndarray:
         """Core anti-join: ONE batched RPC fan for an arbitrary candidate
@@ -184,17 +184,12 @@ class ShardedUrlSeen:
             return mask
         shard_of = (hashes % np.uint64(self.n_shards)).astype(np.int64)
         exact = self._pool.cfg.exact_urlseen   # a Bloom shard takes no urls
-        futs, idxs = [], []
-        for s in range(self.n_shards):
-            idx = np.nonzero(shard_of == s)[0]
-            if len(idx) == 0:
-                continue
-            futs.append(self.shards[s].call.remote(
-                "urlseen", "check_and_add", hashes[idx],
-                urls_arr.take(idx) if exact else None, epoch=self._pool.epoch))
-            idxs.append(idx)
-        for idx, res in zip(idxs, ray.get(futs)):
-            mask[idx] = res
+        idxs = {s: idx for s in range(self.n_shards)
+                if len(idx := np.nonzero(shard_of == s)[0])}
+        for s, res in self._pool.call("urlseen", "check_and_add", {
+                s: (hashes[idx], urls_arr.take(idx) if exact else None)
+                for s, idx in idxs.items()}).items():
+            mask[idxs[s]] = res
         return mask
 
     def filter_new(self, links: pa.Table) -> pa.Table:
@@ -207,10 +202,8 @@ class ShardedUrlSeen:
             links["url"].combine_chunks())))
 
     def seen_table(self) -> pa.Table:
-        return pa.concat_tables([schemas.from_ipc(t) for t in ray.get([
-            s.call.remote("urlseen", "seen_table", epoch=self._pool.epoch)
-            for s in self.shards])])
+        return pa.concat_tables([schemas.from_ipc(t) for t
+                                 in self._pool.call("urlseen", "seen_table").values()])
 
     def stats(self) -> list[dict]:
-        return ray.get([s.call.remote("urlseen", "stats", epoch=self._pool.epoch)
-                        for s in self.shards])
+        return list(self._pool.call("urlseen", "stats").values())

@@ -1,5 +1,6 @@
-"""Session-side helpers (used by bench.py / tests / CLI — never by library
-code paths themselves)."""
+"""Session helpers: ``quiet_ray_data`` is for whoever owns the session
+(bench.py, tests, CLI); ``cluster_cpus`` reads the session the engine runs
+in."""
 
 from __future__ import annotations
 
@@ -35,3 +36,11 @@ def quiet_ray_data() -> None:
     logging.getLogger(
         "ray.data._internal.execution.streaming_executor_state"
     ).addFilter(_EmptyBundleSchemaFilter())
+
+
+def cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster, at least 1: a cluster that reports
+    none cannot run a ``num_cpus=1`` task anyway."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))

@@ -49,6 +49,18 @@ def test_engine_matches_simulator_politeness_and_depth(ray_session, e2e_corpus):
     _assert_equal(sim, eng)
 
 
+def test_engine_matches_simulator_with_partitions_sharing_actors(ray_session, e2e_corpus):
+    """6 URL-seen and 5 frontier partitions on the 4-CPU session: 4 actors,
+    two of them hosting two partition indices (and partition 5 URL-seen
+    only). Partition keys do not depend on the layout, so the crawl is the
+    simulator's."""
+    cfg = CrawlConfig(n_filter_shards=6, n_frontier_shards=5)
+    sizes = set()
+    eng = run_crawl(e2e_corpus, cfg, on_wave=lambda e: sizes.add(len(e.shards.actors)))
+    assert sizes == {4}
+    _assert_equal(simulate_crawl(e2e_corpus, cfg), eng)
+
+
 def test_engine_deterministic_across_runs(ray_session, e2e_corpus):
     cfg = CrawlConfig(n_filter_shards=3, n_frontier_shards=2, max_pages=150)
     a = run_crawl(e2e_corpus, cfg)

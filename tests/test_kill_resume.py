@@ -150,6 +150,65 @@ def test_shard_kill_recovery_urlseen_only_actor(ray_session, e2e_corpus, tmp_pat
     assert res.items.sort_by("url").equals(full.items.sort_by("url"))
 
 
+def test_shard_kill_recovery_actor_hosting_two_partitions(ray_session, e2e_corpus,
+                                                         tmp_path):
+    """With 6 URL-seen and 5 frontier partitions the 4-CPU session gets 4
+    actors, and actor 0 hosts partitions 0 and 4 of both tables. Killing it
+    mid-crawl revives it with both partitions empty; the pool rolls back and
+    replays to the unkilled result."""
+    base = CrawlConfig(n_filter_shards=6, n_frontier_shards=5)
+    full = run_crawl(e2e_corpus, base)
+
+    cfg = CrawlConfig(n_filter_shards=6, n_frontier_shards=5,
+                      checkpoint_dir=str(tmp_path / "ck"), checkpoint_every=1)
+
+    def pick(e):
+        victim = e.shards.actors[0]
+        assert len(e.shards.actors) == 4
+        for shards in (e.urlseen.shards, e.frontier.shards):
+            assert shards[0] is victim and shards[4] is victim
+        return [victim]
+
+    k = _Killer(4, pick)
+    res = run_crawl(e2e_corpus, cfg, on_wave=k)
+    assert k.killed, "kill must have happened (crawl long enough)"
+    assert res.crawl_order.to_pydict() == full.crawl_order.to_pydict()
+    assert set(res.url_seen["url"].to_pylist()) == set(full.url_seen["url"].to_pylist())
+    assert res.items.sort_by("url").equals(full.items.sort_by("url"))
+
+
+@pytest.mark.parametrize("write_cpus,read_cpus", [(8, None), (None, 8)])
+def test_checkpoint_restores_across_pool_layouts(ray_session, e2e_corpus, tmp_path,
+                                                 monkeypatch, write_cpus, read_cpus):
+    """Checkpoint files are per partition, not per actor: a checkpoint that
+    a one-actor-per-partition pool wrote (6 actors, as on an 8-CPU cluster)
+    resumes in the 4-actor pool of the 4-CPU session, and the other way
+    round, to the uninterrupted result."""
+    from scrapy_ray.state import shard
+
+    base = dict(n_filter_shards=6, n_frontier_shards=5)
+    full = run_crawl(e2e_corpus, CrawlConfig(**base))
+    ck = str(tmp_path / "ck")
+
+    def crawl(cpus, **kw):
+        sizes = set()
+        with monkeypatch.context() as m:
+            if cpus is not None:
+                m.setattr(shard, "cluster_cpus", lambda: cpus)
+            res = run_crawl(e2e_corpus, CrawlConfig(**base, checkpoint_dir=ck,
+                                                    checkpoint_every=1, **kw),
+                            resume=True, on_wave=lambda e: sizes.add(len(e.shards.actors)))
+        assert sizes == {6 if cpus else 4}
+        return res
+
+    partial = crawl(write_cpus, max_waves=5)
+    assert partial.metrics["waves"] == 5 < full.metrics["waves"]
+    resumed = crawl(read_cpus)
+    assert resumed.crawl_order.to_pydict() == full.crawl_order.to_pydict()
+    assert set(resumed.url_seen["url"].to_pylist()) == set(full.url_seen["url"].to_pylist())
+    assert resumed.items.sort_by("url").equals(full.items.sort_by("url"))
+
+
 def test_shard_kill_recovery_no_checkpoint(ray_session, e2e_corpus):
     """Same kill without a checkpoint dir: recovery is a deterministic full
     restart from the seeds (state lives only in the actors)."""

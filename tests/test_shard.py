@@ -49,87 +49,88 @@ def test_crawl_shard_guard_reset_and_checkpoint(tmp_path):
     cfg = CrawlConfig(n_filter_shards=2, n_frontier_shards=2, cookies=True,
                       per_domain_cap=2, frontier_max_rows=10,
                       frontier_spill_dir=str(tmp_path / "spill"))
-    sh = CrawlShard(1, cfg)
+    sh = CrawlShard(1, [1], cfg)
     h, u = _hashes(0, 6)
     rows = _rows([f"h{i % 5}" for i in range(40)])
 
     # epoch guard: a fresh actor (-1) and a stale stamp both raise, naming
     # the shard, on a URL-seen RPC and on a frontier RPC
     assert sh.epoch == -1
-    for rpc in (lambda e: sh.call("urlseen", "check_and_add", h, u, epoch=e),
-                lambda e: sh.call("frontier", "push", rows, epoch=e)):
+    for rpc in (lambda e: sh.call({1: (h, u)}, "urlseen", "check_and_add", epoch=e),
+                lambda e: sh.call({1: (rows,)}, "frontier", "push", epoch=e)):
         with pytest.raises(StaleShardError, match="crawl shard 1: epoch -1 != driver 3"):
             rpc(3)
     sh.set_epoch(4)
-    for rpc in (lambda e: sh.call("urlseen", "check_and_add", h, u, epoch=e),
-                lambda e: sh.call("frontier", "push", rows, epoch=e)):
+    for rpc in (lambda e: sh.call({1: (h, u)}, "urlseen", "check_and_add", epoch=e),
+                lambda e: sh.call({1: (rows,)}, "frontier", "push", epoch=e)):
         with pytest.raises(StaleShardError, match="crawl shard 1: epoch 4 != driver 3"):
             rpc(3)
-    assert sh.stats(epoch=4)["urlseen"]["n_seen"] == 0   # nothing applied
+    assert sh.stats(epoch=4)["urlseen"][1]["n_seen"] == 0   # nothing applied
 
     # reset: both partitions back to construction state, spill counter too
-    assert sh.call("urlseen", "check_and_add", h, u, epoch=4).all()
-    assert sh.call("frontier", "push", rows, epoch=4) == 40
-    sh.call("frontier", "update_throttle", ["h0"], np.array([1.0]), epoch=4)
-    sh.end_wave(None, schemas.to_ipc(_hosts([("h0", 1, 100, 3, 7)])), None, 0,
+    assert sh.call({1: (h, u)}, "urlseen", "check_and_add", epoch=4)[1].all()
+    assert sh.call({1: (rows,)}, "frontier", "push", epoch=4)[1] == 40
+    sh.call({1: (["h0"], np.array([1.0]))}, "frontier", "update_throttle", epoch=4)
+    sh.end_wave({1: (None, schemas.to_ipc(_hosts([("h0", 1, 100, 3, 7)])))}, None, 0,
                 epoch=4)
     used = sh.stats(epoch=4)
-    assert used["frontier"]["spilled_rows_total"] > 0
-    assert used["urlseen"]["n_seen"] > 0
+    assert used["frontier"][1]["spilled_rows_total"] > 0
+    assert used["urlseen"][1]["n_seen"] > 0
     sh.reset()
-    fresh = CrawlShard(1, cfg)
+    fresh = CrawlShard(1, [1], cfg)
     assert sh.stats() == fresh.stats()
-    assert sh.frontier.sessions == {} and sh.frontier.at_delay == {}
-    assert not os.listdir(sh.frontier._spill_dir)
+    assert sh.frontier[1].sessions == {} and sh.frontier[1].at_delay == {}
+    assert not os.listdir(sh.frontier[1]._spill_dir)
 
     # a shard holding only a URL-seen partition checkpoints through the
     # end-of-wave RPC and restores it; no frontier segment is written
     cfg_u = CrawlConfig(n_filter_shards=3, n_frontier_shards=2)
-    su = CrawlShard(2, cfg_u)
-    assert su.frontier is None and su.urlseen is not None
-    su.call("urlseen", "check_and_add", *_hashes(0, 50))
+    su = CrawlShard(2, [2], cfg_u)
+    assert su.frontier == {} and 2 in su.urlseen
+    su.call({2: _hashes(0, 50)}, "urlseen", "check_and_add")
     ck_u = str(tmp_path / "ck_u")
-    assert su.end_wave(None, None, ck_u, None) is None
+    assert su.end_wave({2: (None, None)}, ck_u, None) is None
     assert sorted(os.listdir(ck_u)) == ["urlseen_2.parquet", "urlseen_meta_2.json"]
-    ru = CrawlShard(2, cfg_u)
+    ru = CrawlShard(2, [2], cfg_u)
     ru.restore(ck_u)
     assert ru.stats() == su.stats()
-    assert (ru.urlseen.seen_table().sort_by("url_hash")
-            .equals(su.urlseen.seen_table().sort_by("url_hash")))
+    assert (ru.urlseen[2].seen_table().sort_by("url_hash")
+            .equals(su.urlseen[2].seen_table().sort_by("url_hash")))
     h2, u2 = _hashes(40, 60)
-    assert (ru.call("urlseen", "check_and_add", h2, u2).tolist()
-            == su.call("urlseen", "check_and_add", h2, u2).tolist())
+    assert (ru.call({2: (h2, u2)}, "urlseen", "check_and_add")[2].tolist()
+            == su.call({2: (h2, u2)}, "urlseen", "check_and_add")[2].tolist())
 
     # Bloom-only mode: the shard holds the Bloom filter alone, reports its
     # fill, and checkpoints bloom_<i>.bin instead of the exact set
     cfg_b = CrawlConfig(n_filter_shards=3, n_frontier_shards=2, exact_urlseen=False,
                         bloom_capacity=1000)
-    sb = CrawlShard(2, cfg_b)
-    assert sb.call("urlseen", "check_and_add", _hashes(0, 50)[0], None).all()
-    assert sb.stats()["urlseen"]["bloom_fill"] > 0
+    sb = CrawlShard(2, [2], cfg_b)
+    assert sb.call({2: (_hashes(0, 50)[0], None)}, "urlseen", "check_and_add")[2].all()
+    assert sb.stats()["urlseen"][2]["bloom_fill"] > 0
     ck_b = str(tmp_path / "ck_b")
     sb.checkpoint(ck_b)
     assert sorted(os.listdir(ck_b)) == ["bloom_2.bin", "urlseen_meta_2.json"]
-    rb = CrawlShard(2, cfg_b)
+    rb = CrawlShard(2, [2], cfg_b)
     rb.restore(ck_b)
     assert rb.stats() == sb.stats()
-    assert (rb.call("urlseen", "check_and_add", h2, None).tolist()
-            == sb.call("urlseen", "check_and_add", h2, None).tolist()
+    assert (rb.call({2: (h2, None)}, "urlseen", "check_and_add")[2].tolist()
+            == sb.call({2: (h2, None)}, "urlseen", "check_and_add")[2].tolist()
             == [False] * 10 + [True] * 10)
 
     # a shard holding only a frontier partition: same round-trip
     cfg_f = CrawlConfig(n_filter_shards=2, n_frontier_shards=3, per_domain_cap=2)
-    sf = CrawlShard(2, cfg_f)
-    assert sf.urlseen is None and sf.frontier is not None
-    sf.call("frontier", "push", _rows([f"h{i % 4}" for i in range(30)]))
-    sf.call("frontier", "next_wave", 0)
+    sf = CrawlShard(2, [2], cfg_f)
+    assert sf.urlseen == {} and 2 in sf.frontier
+    sf.call({2: (_rows([f"h{i % 4}" for i in range(30)]),)}, "frontier", "push")
+    sf.call({2: (0,)}, "frontier", "next_wave")
     ck_f = str(tmp_path / "ck_f")
     sf.checkpoint(ck_f)
     assert sorted(os.listdir(ck_f)) == ["clock_2.json", "frontier_2.parquet"]
-    rf = CrawlShard(2, cfg_f)
+    rf = CrawlShard(2, [2], cfg_f)
     rf.restore(ck_f)
     assert rf.stats() == sf.stats()
-    assert rf.call("frontier", "next_wave", 1).equals(sf.call("frontier", "next_wave", 1))
+    assert rf.call({2: (1,)}, "frontier", "next_wave")[2].equals(
+        sf.call({2: (1,)}, "frontier", "next_wave")[2])
 
 
 def test_reduce_hosts_is_an_associative_per_host_reduce():
@@ -168,9 +169,9 @@ def test_end_wave_applies_the_host_table_like_the_old_driver_reduce(tmp_path):
               ("m.example", 1, 800, 9, 99), ("b.example", 3, 300, 0, 10)],
              [("z.example", 1, 4000, 12, 120), ("a.example", 2, 100, 14, 140),
               ("m.example", 1, 50, 13, 130)]]
-    new, old = CrawlShard(0, cfg), CrawlShard(0, cfg)
+    new, old = CrawlShard(0, [0], cfg), CrawlShard(0, [0], cfg)
     for w in waves:
-        assert new.end_wave(None, schemas.to_ipc(_hosts(w)), None, None) is None
+        assert new.end_wave({0: (None, schemas.to_ipc(_hosts(w)))}, None, None) is None
         acc: dict = {}
         for host, n, nbytes, seq, token in w:
             a = acc.setdefault(host, [0, 0, -1, 0])
@@ -179,17 +180,80 @@ def test_end_wave_applies_the_host_table_like_the_old_driver_reduce(tmp_path):
             if seq > a[2]:
                 a[2], a[3] = seq, token
         hosts = sorted(acc)
-        old.frontier.update_sessions(hosts, [acc[h][3] for h in hosts])
-        old.frontier.update_throttle(hosts, (
+        old.frontier[0].update_sessions(hosts, [acc[h][3] for h in hosts])
+        old.frontier[0].update_throttle(hosts, (
             np.array([acc[h][1] for h in hosts]) / np.array([acc[h][0] for h in hosts])
             / cfg.at_bytes_per_sec).tolist())
-    assert list(new.frontier.at_delay.items()) == list(old.frontier.at_delay.items())
-    assert list(new.frontier.sessions.items()) == list(old.frontier.sessions.items())
-    assert new.frontier.sessions["m.example"] == 130
+    assert list(new.frontier[0].at_delay.items()) == list(old.frontier[0].at_delay.items())
+    assert list(new.frontier[0].sessions.items()) == list(old.frontier[0].sessions.items())
+    assert new.frontier[0].sessions["m.example"] == 130
     for sh, d in ((new, "new"), (old, "old")):
         sh.checkpoint(str(tmp_path / d))
     clock = [(tmp_path / d / "clock_0.json").read_bytes() for d in ("new", "old")]
     assert clock[0] == clock[1] and json.loads(clock[0])["at_delay"]
+
+
+def test_one_shard_hosting_two_partitions_matches_two_shards(tmp_path):
+    """An actor that hosts partitions {0, 2} is the two one-partition actors
+    side by side: given the same per-partition payloads (URL-seen checks,
+    pushes, per-host feedback, end-of-wave checkpoints and drains) it
+    returns the same masks, push counts and drained waves, and writes the
+    same checkpoint files, byte for byte."""
+    from scrapy_ray.state.frontier import host_shard
+
+    cfg = CrawlConfig(n_filter_shards=3, n_frontier_shards=3, cookies=True,
+                      autothrottle=True, per_domain_cap=2, frontier_max_rows=12,
+                      frontier_spill_dir=str(tmp_path / "spill"))
+    both = CrawlShard(0, [0, 2], cfg)
+    one = {i: CrawlShard(i, [i], cfg) for i in (0, 2)}
+
+    def split(t: pa.Table) -> dict:
+        part = host_shard(t["host"], 3)
+        return {i: t.filter(pa.array(part == i)) for i in (0, 2)}
+
+    def same(method_args: dict, *args, rpc: str = "call") -> dict:
+        got = getattr(both, rpc)(method_args, *args)
+        want = {}
+        for i, a in method_args.items():
+            want.update(getattr(one[i], rpc)({i: a}, *args) or {})
+        if got is None:
+            assert not want
+            return {}
+        assert got.keys() == want.keys()
+        for i in got:
+            g, w = got[i], want[i]
+            assert (g.equals(w) if isinstance(g, pa.Buffer)
+                    else np.array_equal(g, w) if isinstance(g, np.ndarray) else g == w)
+        return got
+
+    h, u = _hashes(0, 90)
+    checks = {i: (h[h % np.uint64(3) == i], u.filter(pa.array(h % np.uint64(3) == i)))
+              for i in (0, 2)}
+    assert same(checks, "urlseen", "check_and_add")[0].all()
+    assert not same(checks, "urlseen", "check_and_add")[2].any()
+    rows = split(_rows([f"h{i % 7}" for i in range(60)]))
+    pushed = same({i: (rows[i],) for i in (0, 2)}, "frontier", "push")
+    assert pushed[0] > 0 and pushed[2] > 0
+    hosts = split(_hosts([(f"h{i}", 1 + i, 900 * (i + 1), i, 10 + i) for i in range(7)]))
+    for w in range(4):
+        more = split(_rows([f"h{(w + i) % 7}" for i in range(9)], seq0=100 + 10 * w))
+        ckpt = str(tmp_path / f"both{w}") if w % 2 else None
+        slices = {i: (schemas.to_ipc(more[i]), schemas.to_ipc(hosts[i])) for i in (0, 2)}
+        got = both.end_wave(slices, ckpt, w)
+        want = {}
+        for i in (0, 2):
+            want.update(one[i].end_wave({i: slices[i]}, ckpt and str(tmp_path / f"one{w}"), w))
+        assert got.keys() == want.keys() == {0, 2}
+        assert all(got[i].equals(want[i]) for i in got)
+        if ckpt:
+            files = sorted(os.listdir(ckpt))
+            assert files == sorted(os.listdir(tmp_path / f"one{w}")) and len(files) == 8
+            for f in files:
+                assert (tmp_path / f"both{w}" / f).read_bytes() == (
+                    tmp_path / f"one{w}" / f).read_bytes(), f
+    assert both.stats() == {k: {i: one[i].stats()[k][i] for i in (0, 2)}
+                            for k in ("urlseen", "frontier")}
+    assert any(st["spilled_rows_total"] for st in both.stats()["frontier"].values())
 
 
 @pytest.mark.parametrize("field", ["n_filter_shards", "n_frontier_shards"])
@@ -234,20 +298,24 @@ def test_crawl_config_rejects_bad_settings(kwargs, match):
         CrawlConfig(**kwargs)
 
 
-@pytest.mark.parametrize("n_filter,n_frontier", [(3, 2), (2, 3)])
-def test_engine_builds_one_actor_per_partition(ray_session, e2e_corpus,
-                                               n_filter, n_frontier):
+@pytest.mark.parametrize("n_filter,n_frontier", [(3, 2), (2, 3), (6, 5)])
+def test_engine_sizes_the_pool_to_the_cluster(ray_session, e2e_corpus,
+                                              n_filter, n_frontier):
+    """One actor per partition index while the cluster has a CPU for each
+    (3+2 and 2+3 on the 4-CPU session); past that, as many actors as CPUs,
+    actor ``i % n_actors`` hosting partition ``i`` of both tables."""
     import ray
 
     from scrapy_ray.pipelines.crawl import CrawlEngine
+    from scrapy_ray.util import cluster_cpus
 
     eng = CrawlEngine(e2e_corpus, CrawlConfig(n_filter_shards=n_filter,
                                               n_frontier_shards=n_frontier))
     try:
         actors = eng.shards.actors
-        assert len(actors) == max(n_filter, n_frontier)
-        assert eng.urlseen.shards == actors[:n_filter]
-        assert eng.frontier.shards == actors[:n_frontier]
+        assert len(actors) == min(max(n_filter, n_frontier), cluster_cpus())
+        assert eng.urlseen.shards == [actors[i % len(actors)] for i in range(n_filter)]
+        assert eng.frontier.shards == [actors[i % len(actors)] for i in range(n_frontier)]
         for i in range(min(n_filter, n_frontier)):
             assert eng.urlseen.shards[i] is eng.frontier.shards[i]
         eng.warm()

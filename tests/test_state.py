@@ -666,3 +666,51 @@ def test_frontier_spill_respill_and_checkpoint(tmp_path):
     # every row survives the spill/merge/checkpoint round-trips exactly once
     assert sorted(s for _, s in a) == list(range(50)) + list(range(100, 140))
     assert sorted(p for p, _ in a) == [0] * 50 + [9] * 40
+
+
+def test_frontier_spill_total_survives_a_restore(tmp_path):
+    """``spilled_rows_total`` is checkpointed with the clocks: a fresh shard
+    restored from a checkpoint reports the writer's stats, the lifetime
+    spill count included; a checkpoint without the key restores it as 0."""
+    cfg = CrawlConfig(per_domain_cap=4, frontier_max_rows=30,
+                      frontier_spill_dir=str(tmp_path / "spill"))
+    f = FrontierShard(0, cfg)
+    f.push(_rows([(f"https://h{h}/{i}", f"h{h}", i % 3, h * 100 + i)
+                  for h in range(4) for i in range(20)]))
+    f.next_wave(0)   # unspills and emits; the next push spills again
+    f.push(_rows([(f"https://h{h}/x{i}", f"h{h}", 0, 1000 + h * 100 + i)
+                   for h in range(4) for i in range(5)]))
+    assert f.stats()["spilled_rows_total"] > f.stats()["spilled_rows"] > 0
+    ck = str(tmp_path / "ck")
+    f.checkpoint(ck)
+    g = FrontierShard(0, cfg)
+    g.restore(ck)
+    assert g.stats() == f.stats()
+
+    clock = os.path.join(ck, "clock_0.json")
+    with open(clock) as fh:
+        d = json.load(fh)
+    del d["n_spilled_total"]
+    with open(clock, "w") as fh:
+        json.dump(d, fh)
+    old = FrontierShard(0, cfg)
+    old.restore(ck)
+    assert old.stats() == {**f.stats(), "spilled_rows_total": 0}
+
+
+def test_host_shard_of_an_arrow_column_matches_the_list_path():
+    """``host_shard`` hashes an Arrow column (chunked or not) to the same
+    partitions as the list of its values, an empty and non-ASCII hosts
+    included."""
+    from scrapy_ray.state.frontier import host_shard
+
+    hosts = ["", "a.example", "bücher.example", "例え.jp", "xn--bcher-kva.example",
+             *[f"h{i}.example.com" for i in range(200)]]
+    for n in (1, 3, 7):
+        want = host_shard(hosts, n)
+        assert want.dtype == np.int64 and len(set(want.tolist())) == n
+        assert np.array_equal(host_shard(pa.array(hosts), n), want)
+        chunked = pa.chunked_array([hosts[:3], hosts[3:]])
+        assert np.array_equal(host_shard(chunked, n), want)
+        assert np.array_equal(host_shard(pa.table({"host": hosts})["host"], n), want)
+    assert len(host_shard(pa.array([], pa.string()), 3)) == 0
