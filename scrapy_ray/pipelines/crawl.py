@@ -56,7 +56,6 @@ from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 from scrapy_ray.sources.readers import (read_deltafetch_urls, read_robots,
                                         read_seeds)
-from scrapy_ray.stages.extract import classify_callback
 from scrapy_ray.stages.fetch import FetchPlan, fetch_parse_wave
 from scrapy_ray.stages.links import filter_links, filter_params
 from scrapy_ray.state.errors import StaleShardError
@@ -83,8 +82,6 @@ def _links_to_frontier(links: pa.Table) -> pa.Table:
             "depth": links["depth"],
             "priority": links["priority"],
             "seq": links["parent_seq"],
-            "parent_url": links["parent_url"],
-            "callback": links["callback"],
             "dont_filter": pa.array(np.zeros(n, dtype=bool)),
             "retries": pa.array(np.zeros(n, dtype=np.int32)),
             "redirects": pa.array(np.zeros(n, dtype=np.int32)),
@@ -128,10 +125,8 @@ def seeds_to_links(seeds: list[dict]) -> pa.Table:
             "url_hash": pa.array(hash64(urls) if urls else [], type=pa.uint64()),
             "depth": pa.array(np.zeros(n, dtype=np.int32)),
             "priority": pa.array([int(s.get("priority", 0)) for s in seeds], type=pa.int32()),
-            "parent_url": pa.array([""] * n, type=pa.string()),
             "parent_seq": pa.array(np.full(n, -1, dtype=np.int64)),
             "link_idx": pa.array(np.arange(n, dtype=np.int32)),
-            "callback": pa.array(classify_callback(urls), type=pa.string()),
         },
         schema=schemas.LINKS,
     )

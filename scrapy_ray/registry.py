@@ -9,10 +9,19 @@ re-expressed as composable Arrow batch-function chains:
 | CrawlSpider Rule(LinkExtractor, cb, follow)  | crawl_rule registry         |
 
 A parse stage is ``fn(pa.Table) -> pa.Table`` over fetched-page batches,
-registered under the callback tag carried on frontier rows. Item pipelines
-and link middlewares are ``fn(pa.Table) -> pa.Table`` applied in order; a
-pipeline drops rows by filtering them out (DropItem ≙ filter), and both run
-inside the engine's batch path — never per row.
+registered under a tag. Frontier rows carry no tag: a page's tag is derived
+from its URL when it is parsed (``stages.extract.classify_callback``: crawl
+rules, then URL routes, then the built-in listing/detail pattern). Item
+pipelines and link middlewares are ``fn(pa.Table) -> pa.Table`` applied in
+order; a pipeline drops rows by filtering them out (DropItem ≙ filter), and
+both run inside the engine's batch path — never per row.
+
+Link-middleware contract: each wave, the chain gets the wave's extracted
+links as one ``schemas.LINKS`` table (url, host, url_hash, depth, priority,
+parent_seq, link_idx), sorted by (parent_seq, link_idx), before the
+M7/M8/M9 filters and the dedup; it returns LINKS rows. There is no
+``parent_url`` column: a middleware that needs the parent page keys it by
+``parent_seq``, the parent's seq in ``crawl_order``.
 
 Custom page types crawl through the ENGINE via ``@page_handler`` (round 2,
 VERDICT item 2): register a per-page pure function + a URL route pattern,
@@ -61,10 +70,10 @@ class CrawlRule:
     LxmlLinkExtractor allow/deny]: declarative link routing. When any rule
     is registered, every extracted link must match a rule (first match
     wins, ``re.search`` semantics like LinkExtractor) or it is dropped at
-    extraction; a matched link's frontier row is tagged with the rule's
-    ``tag`` (None = the default URL-kind classifier); pages whose URL
-    matches a ``follow=False`` rule are parsed for items but emit NO links
-    (Scrapy: callback-only rules don't follow by default). Seeds and
+    extraction; a page whose URL first matches a rule with a ``tag`` parses
+    with that tag's handler (None = the default URL-kind classifier); pages
+    whose URL matches a ``follow=False`` rule are parsed for items but emit
+    NO links (Scrapy: callback-only rules don't follow by default). Seeds and
     redirect targets that match no rule keep default behavior — mirroring
     RedirectMiddleware re-issuing requests outside rule filtering."""
 
@@ -120,7 +129,8 @@ def page_handler(tag: str, url_pattern: str | None = None):
 
 
 def parse_stage(name: str) -> Callable[[BatchFn], BatchFn]:
-    """Register a named parse stage (``callback`` tag on frontier rows)."""
+    """Register a named parse stage under ``name``, the tag
+    ``classify_callback`` derives from a URL."""
 
     def deco(fn: BatchFn) -> BatchFn:
         PARSE_STAGES[name] = fn

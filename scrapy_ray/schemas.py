@@ -37,10 +37,11 @@ PAGES_FULL = pa.schema(
 )
 
 # One row of the frontier = one Scrapy Request ([S:scrapy/http/request]).
-# ``callback`` is a named parse-stage tag, not a function pointer (SURVEY §1.1).
-# A fetch task requeues a request (retry, redirect, meta refresh) as a row of
-# this schema too, the way Scrapy's middlewares hand the scheduler a copy of
-# the Request (stages/fetch.py).
+# The row carries no callback tag and no referer: the parse stage is derived
+# from the URL when the page is parsed (stages/parse.py), and nothing reads a
+# parent url. A fetch task requeues a request (retry, redirect, meta refresh)
+# as a row of this schema too, the way Scrapy's middlewares hand the
+# scheduler a copy of the Request (stages/fetch.py).
 FRONTIER = pa.schema(
     [
         ("url", pa.string()),
@@ -49,8 +50,6 @@ FRONTIER = pa.schema(
         ("depth", pa.int32()),
         ("priority", pa.int32()),
         ("seq", pa.int64()),
-        ("parent_url", pa.string()),
-        ("callback", pa.string()),
         ("dont_filter", pa.bool_()),
         ("retries", pa.int32()),    # retry middleware attempt count
         ("redirects", pa.int32()),  # redirect middleware hop count
@@ -93,7 +92,9 @@ ROBOTS = pa.schema([("host", pa.string()), ("body", pa.string())])
 # Candidate links emitted by parse stages, pre-dedup (SURVEY §2.2 M4).
 # (parent_seq, link_idx) is the canonical enqueue order: the driver sorts the
 # link stream by it before dedup + seq assignment, which is what makes the
-# cross-shard crawl ordering deterministic (SURVEY §7.4.1).
+# cross-shard crawl ordering deterministic (SURVEY §7.4.1). It is also the
+# link-middleware input (registry.py): a middleware that needs the parent page
+# keys it by ``parent_seq``.
 LINKS = pa.schema(
     [
         ("url", pa.string()),
@@ -101,10 +102,8 @@ LINKS = pa.schema(
         ("url_hash", pa.uint64()),
         ("depth", pa.int32()),
         ("priority", pa.int32()),
-        ("parent_url", pa.string()),
         ("parent_seq", pa.int64()),
         ("link_idx", pa.int32()),
-        ("callback", pa.string()),
     ]
 )
 

@@ -24,7 +24,8 @@ _KIND = re.compile(r"https?://[^/]+/(listing|hotel|restaurant)/")
 
 def classify_callback(urls: list[str], routes=None, rules=None) -> list[str]:
     """URL pattern -> parse-stage tag (the reference routes via Rule/callback;
-    our frontier rows carry the tag as a dictionary-encodable string column).
+    here the tag is derived from the URL wherever a page is parsed, and
+    frontier rows carry none).
 
     CrawlSpider rules (``registry.crawl_rule``) take precedence: a URL whose
     first matching rule carries a tag gets that tag. Then custom

@@ -53,18 +53,17 @@ import ray
 from scrapy_ray import schemas
 from scrapy_ray.util import cluster_cpus
 
-_REQUEUE_RESET = {"parent_url": "", "dont_filter": False, "retries": 0,
-                  "redirects": 0}
+_REQUEUE_RESET = {"dont_filter": False, "retries": 0, "redirects": 0}
 
 
 def _requeue_rows(hit: pa.Table, **cols) -> pa.Table:
     """FRONTIER rows that requeue the fetched requests ``hit``: a copy of
     each request, as Scrapy's downloader middlewares hand the scheduler a
     copy of the Request. ``cols`` holds the columns the middleware changes.
-    url, host, url_hash, depth, priority, callback and seq copy the original
-    (seq stays the ORIGINAL request's seq: the wave loop orders requeued
-    rows by it and then numbers them); parent_url, dont_filter, retries and
-    redirects start at "", False and 0."""
+    url, host, url_hash, depth, priority and seq copy the original (seq
+    stays the ORIGINAL request's seq: the wave loop orders requeued rows by
+    it and then numbers them); dont_filter, retries and redirects start at
+    False, 0 and 0."""
     for f in schemas.FRONTIER:
         if f.name not in cols:
             cols[f.name] = (pa.repeat(pa.scalar(_REQUEUE_RESET[f.name], f.type),
@@ -92,8 +91,9 @@ def _retry_rows(t: pa.Table, retry_codes: tuple, retry_max: int,
 def _redirect_target_rows(hit: pa.Table, targets: list[str]) -> pa.Table:
     """Requeue rows at the TARGET urls of the redirected rows ``hit``
     ([S:scrapy/downloadermiddlewares/redirect.py]): canonicalized and hashed
-    here in-task, callback cleared, hop count + 1; depth, priority and the
-    original seq carry over (Scrapy copies the request)."""
+    here in-task, hop count + 1; depth, priority and the original seq carry
+    over (Scrapy copies the request). The target's parse stage follows from
+    its own url when it is parsed."""
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.urlnorm import canonicalize_urls, hosts_of
 
@@ -102,7 +102,6 @@ def _redirect_target_rows(hit: pa.Table, targets: list[str]) -> pa.Table:
         hit, url=pa.array(targets, type=pa.string()),
         host=pa.array(hosts_of(targets), type=pa.string()),
         url_hash=pa.array(hash64(targets), type=pa.uint64()),
-        callback=pa.repeat(pa.scalar(""), len(hit)),
         redirects=pc.add(hit["redirects"], pa.scalar(1, pa.int32())))
 
 
@@ -430,7 +429,7 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
     # (CLOSESPIDER_ERRORCOUNT input; diverted redirect/retry rows excluded)
     n_err = len(parsed) - int(pc.sum(parsed["status_ok"]).as_py() or 0) \
         - n_diverted
-    links = split_links(parsed, routes=routes, rules=rules)
+    links = split_links(parsed)
     if plan.link_filter is not None and len(links):
         # M7/M8/M9 in-task: shrinks the O(links) driver chain AND the
         # task->driver payload; per-row pure, so the surviving set is
@@ -454,9 +453,7 @@ def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
     # ship zero-copy Arrow slices — the driver builds no per-url python
     # structures. A slice covers few buckets, each a contiguous url range,
     # so the isin filter prunes row groups (bucket files are url-sorted).
-    sub_cols = wave.select(["url", "host", "url_hash", "depth",
-                            "priority", "seq", "callback", "retries",
-                            "redirects"])
+    sub_cols = wave.select(schemas.FRONTIER.names)
     tmp = sub_cols.append_column("bucket", pa.array(bucket_of))
     idx = pc.sort_indices(tmp, sort_keys=[("bucket", "ascending"),
                                           ("url", "ascending")])

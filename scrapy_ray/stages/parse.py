@@ -2,8 +2,10 @@
 (``stages/fetch.py``) on the pages it just joined.
 
 Input: fetched page batches with frontier carry-through columns
-(url, html, status, depth, priority, seq, callback). Output: ONE row per
-fetched page with
+(url, html, status, depth, seq). A page's parse stage is derived from its
+URL here (``classify_callback`` when handlers or rules are registered, the
+built-in listing/detail pattern otherwise); frontier rows carry no tag.
+Output: ONE row per fetched page with
 
 - item columns (nullable; detail pages yield exactly one item [B:north_star]);
 - link list-columns ``link_url/link_host/link_hash`` sharing offsets —
@@ -177,8 +179,7 @@ def split_items(parsed: pa.Table) -> pa.Table:
     )
 
 
-def split_links(parsed: pa.Table, routes: list | None = None,
-                rules: list | None = None) -> pa.Table:
+def split_links(parsed: pa.Table) -> pa.Table:
     """Parsed page rows -> flattened LINKS table in canonical
     (parent_seq, link_idx) order (pages arrive in any order; caller sorts)."""
     lu = parsed["link_url"].combine_chunks()
@@ -193,9 +194,6 @@ def split_links(parsed: pa.Table, routes: list | None = None,
     link_idx = (np.arange(len(flat_url), dtype=np.int64) - starts[parent]).astype(np.int32)
     parent_seq = parsed["seq"].to_numpy(zero_copy_only=False)[parent]
     parent_depth = parsed["depth"].to_numpy(zero_copy_only=False)[parent]
-    parent_url = pc.take(parsed["url"], pa.array(parent))
-    from scrapy_ray.stages.extract import classify_callback
-
     return pa.table(
         {
             "url": flat_url,
@@ -203,12 +201,8 @@ def split_links(parsed: pa.Table, routes: list | None = None,
             "url_hash": flat_hash,
             "depth": pa.array((parent_depth + 1).astype(np.int32)),
             "priority": pa.array(np.zeros(len(flat_url), dtype=np.int32)),
-            "parent_url": parent_url,
             "parent_seq": pa.array(parent_seq),
             "link_idx": pa.array(link_idx),
-            "callback": pa.array(classify_callback(flat_url.to_pylist(),
-                                                   routes=routes, rules=rules),
-                                 type=pa.string()),
         },
         schema=schemas.LINKS,
     )

@@ -271,24 +271,34 @@ class FrontierShard:
         bounds = np.searchsorted(codes, np.append(spill, len(self._live)))
         for i, c in enumerate(spill.tolist()):
             t = rows.slice(bounds[i], bounds[i + 1] - bounds[i])
-            path = self._spill_path(c)
-            if os.path.exists(path):   # host re-spilled after new pushes arrived
-                t = pa.concat_tables([pq.read_table(path), t])
-            pq.write_table(t, path)
+            if c in self.spilled:   # host re-spilled after new pushes arrived
+                t = pa.concat_tables([self._read_spill(c), t])
+            pq.write_table(t, self._spill_path(c))
             self.spilled[c] = self.spilled.get(c, 0) + int(self._live[c])
         n_out = int(self._live[spill].sum())
         self._live[spill] = 0
         self._queued -= n_out
         self.n_spilled_total += n_out
 
+    def _read_spill(self, code: int) -> pa.Table:
+        """Host ``code``'s spilled rows. A file cut short or replaced raises
+        (not an assert: ``python -O`` strips those) instead of silently
+        dropping or adding rows."""
+        path = self._spill_path(code)
+        t = pq.read_table(path)
+        if len(t) != self.spilled[code]:
+            raise RuntimeError(
+                f"frontier shard {self.shard_id}: spill file {path} of host "
+                f"{self._hosts[code].as_py()!r} holds {len(t)} rows, "
+                f"expected {self.spilled[code]}")
+        return t
+
     def _unspill_ready(self, wave_idx: int) -> None:
         c = np.array(sorted(self.spilled), dtype=np.int64)
         for code in c[self._ready_at(c, self._delays(c)) <= wave_idx].tolist():
-            path = self._spill_path(code)
-            t = pq.read_table(path)
-            os.remove(path)
-            n = self.spilled.pop(code)
-            assert n == len(t)
+            t = self._read_spill(code)
+            os.remove(self._spill_path(code))
+            del self.spilled[code]
             self._add(t, np.full(len(t), code))
 
     def _drop_spill_files(self) -> None:
@@ -440,7 +450,7 @@ class FrontierShard:
         t = pa.concat_tables(
             [_gather(pieces)[0]]
             # disk-resident rows are frontier state too
-            + [pq.read_table(self._spill_path(c)) for c in self.spilled])
+            + [self._read_spill(c) for c in self.spilled])
         tmp = os.path.join(dirpath, f"frontier_{self.shard_id}.tmp")
         pq.write_table(t, tmp)
         os.replace(tmp, os.path.join(dirpath, f"frontier_{self.shard_id}.parquet"))

@@ -1,5 +1,5 @@
 """Ray-free probe of one frontier partition (state/frontier.py FrontierShard)
-over two corpus shapes that no perfbench workload has.
+over three corpus shapes that no perfbench workload has.
 
 - many hosts: ``--hosts N --cap C`` pushes one row per host 4 times, then
   drains until the partition is empty (one wave with cap >= 4, four with
@@ -8,13 +8,18 @@ over two corpus shapes that no perfbench workload has.
   rows each, then runs W waves under politeness (download_delay 1, so every
   host emits one row per wave), pushing P new rows before each drain.
   Prints the CPU time of the fill and the mean ms per wave.
+- sparse waves over many known hosts: ``--sparse H --waves W --per-wave P``
+  gives H hosts one row each and drains them, then runs W waves that each
+  push P rows to random known hosts and drain. Prints the CPU time of the
+  fill and the mean ms per wave: the per-wave cost of the known-host count.
 
-Both print ``ru_maxrss`` growth over the run in MiB and the Arrow bytes of
+All print ``ru_maxrss`` growth over the run in MiB and the Arrow bytes of
 the rows pushed. Times are ``time.process_time`` of this one process.
 
 Run from the repository root:
     python scripts/probe_frontier.py --hosts 100000 --cap 8
     python scripts/probe_frontier.py --deep 10x10000 --waves 50 --per-wave 20
+    python scripts/probe_frontier.py --sparse 100000 --waves 20 --per-wave 100
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ def _rows(host_idx: np.ndarray, seq0: int, rng: np.random.Generator) -> pa.Table
         "depth": pa.array(np.ones(n, dtype=np.int32)),
         "priority": pa.array(rng.integers(-2, 3, n).astype(np.int32)),
         "seq": pa.array(seq),
-        "parent_url": [""] * n, "callback": ["parse_detail"] * n,
         "dont_filter": pa.array(np.zeros(n, dtype=bool)),
         "retries": pa.array(np.zeros(n, dtype=np.int32)),
         "redirects": pa.array(np.zeros(n, dtype=np.int32)),
@@ -109,18 +113,45 @@ def deep_queues(n_hosts: int, n_rows: int, waves: int, per_wave: int) -> dict:
             "rows_mib": round((fill.nbytes + sum(t.nbytes for t in adds)) / 2**20, 1)}
 
 
+def sparse_waves(n_hosts: int, waves: int, per_wave: int) -> dict:
+    rng = np.random.default_rng(0)
+    fill = _rows(np.arange(n_hosts), 0, rng)
+    adds = [_rows(rng.integers(0, n_hosts, per_wave), n_hosts + w * per_wave, rng)
+            for w in range(waves)]
+    f = FrontierShard(0, CrawlConfig(per_domain_cap=per_wave))
+    rss0 = _maxrss_mib()
+    t0 = time.process_time()
+    f.push(fill)
+    f.next_wave(0)
+    t1 = time.process_time()
+    emitted = 0
+    for w, t in enumerate(adds, start=1):
+        f.push(t)
+        emitted += len(f.next_wave(w))
+    t2 = time.process_time()
+    assert emitted == waves * per_wave and f.size() == 0
+    return {"shape": "sparse_waves", "hosts": n_hosts, "waves": waves,
+            "per_wave": per_wave, "fill_s": round(t1 - t0, 3),
+            "ms_per_wave": round(1000 * (t2 - t1) / waves, 2),
+            "rss_growth_mib": round(_maxrss_mib() - rss0, 1),
+            "rows_mib": round((fill.nbytes + sum(t.nbytes for t in adds)) / 2**20, 1)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--hosts", type=int, help="many-host shape: host count")
     ap.add_argument("--cap", type=int, default=8, help="per_domain_cap")
     ap.add_argument("--deep", help="deep-queue shape: HOSTSxROWS, e.g. 10x10000")
+    ap.add_argument("--sparse", type=int, help="sparse-wave shape: known-host count")
     ap.add_argument("--waves", type=int, default=50)
     ap.add_argument("--per-wave", type=int, default=20)
     a = ap.parse_args()
-    if (a.hosts is None) == (a.deep is None):
-        ap.error("give exactly one of --hosts and --deep")
+    if [a.hosts, a.deep, a.sparse].count(None) != 2:
+        ap.error("give exactly one of --hosts, --deep and --sparse")
     if a.hosts is not None:
         out = many_hosts(a.hosts, a.cap)
+    elif a.sparse is not None:
+        out = sparse_waves(a.sparse, a.waves, a.per_wave)
     else:
         h, r = (int(x) for x in a.deep.split("x"))
         out = deep_queues(h, r, a.waves, a.per_wave)

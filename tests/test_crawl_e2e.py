@@ -148,7 +148,6 @@ def _all_pages_wave(root: str):
     from scrapy_ray import schemas
     from scrapy_ray.functions.hashing import hash64
     from scrapy_ray.functions.urlnorm import hosts_of
-    from scrapy_ray.stages.extract import classify_callback
 
     pages = pads.dataset(os.path.join(root, "pages"), format="parquet",
                          partitioning="hive").to_table(columns=["url"])
@@ -164,8 +163,6 @@ def _all_pages_wave(root: str):
         "depth": pa.array(np.ones(n, dtype=np.int32)),
         "priority": i32,
         "seq": pa.array(np.arange(n, dtype=np.int64)),
-        "parent_url": pa.array([""] * n, type=pa.string()),
-        "callback": pa.array(classify_callback(urls), type=pa.string()),
         "dont_filter": pa.array(np.zeros(n, dtype=bool)),
         "retries": i32,
         "redirects": i32,
@@ -347,8 +344,8 @@ def test_autothrottle_adapts_per_host(ray_session):
     from scrapy_ray import schemas
     sh.push(pa.Table.from_pylist([
         {"url": f"https://{h}/{i}", "host": h, "url_hash": i, "depth": 0,
-         "priority": 0, "seq": i, "parent_url": "", "callback": "parse",
-         "dont_filter": False, "retries": 0, "redirects": 0}
+         "priority": 0, "seq": i, "dont_filter": False, "retries": 0,
+         "redirects": 0}
         for i, h in enumerate(["slow.com", "fast.com"] * 2)], schema=schemas.FRONTIER))
     assert len(sh.next_wave(0)) == 2 and sh.earliest_ready_wave() == 1
     assert sh.next_wave(1)["host"].to_pylist() == ["fast.com"]

@@ -35,6 +35,33 @@ def test_item_pipeline_and_link_middleware(ray_session, e2e_corpus):
     assert all("example.com" in u or u == "" for u in hosts)
 
 
+def test_link_middleware_input_contract(ray_session, e2e_corpus):
+    """The link-middleware contract (registry.py): each wave the chain gets
+    one ``schemas.LINKS`` table, sorted by (parent_seq, link_idx), whose
+    parent_seq is a seq of the crawl order."""
+    import numpy as np
+
+    from scrapy_ray import schemas
+
+    got: list[pa.Table] = []
+
+    def record(t: pa.Table) -> pa.Table:
+        got.append(t)
+        return t
+
+    cfg = CrawlConfig(n_filter_shards=2, n_frontier_shards=2, max_waves=4)
+    res = run_crawl(e2e_corpus, cfg, link_middlewares=(record,))
+    assert len(got) >= 2 and sum(map(len, got)) > 0
+    for t in got:
+        assert t.schema.equals(schemas.LINKS)
+        step = np.diff(t["parent_seq"].to_numpy())
+        assert (step >= 0).all()
+        assert (np.diff(t["link_idx"].to_numpy())[step == 0] > 0).all()
+    assert any((np.diff(t["parent_seq"].to_numpy()) > 0).any() for t in got)
+    parents = {s for t in got for s in t["parent_seq"].to_pylist()}
+    assert parents <= set(res.crawl_order["seq"].to_pylist())
+
+
 def test_metrics_actor(ray_session, e2e_corpus):
     import ray
 

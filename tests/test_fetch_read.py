@@ -14,12 +14,12 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
+from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
 from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.functions.urlnorm import hosts_of
 from scrapy_ray.sources.corpus import CorpusSpec, generate_corpus
 from scrapy_ray.stages import fetch
-from scrapy_ray.stages.extract import classify_callback
 from scrapy_ray.stages.links import filter_params
 
 _RG = 4    # row groups per url-sorted file
@@ -87,10 +87,10 @@ def _slice(urls: list[str]) -> pa.Table:
         "depth": pa.array(np.ones(n, dtype=np.int32)),
         "priority": i32,
         "seq": pa.array(np.arange(n, dtype=np.int64)),
-        "callback": pa.array(classify_callback(urls), type=pa.string()),
+        "dont_filter": pa.array(np.zeros(n, dtype=bool)),
         "retries": i32,
         "redirects": i32,
-    })
+    }, schema=schemas.FRONTIER)
 
 
 def _dataset_run(bucket_dir: str):

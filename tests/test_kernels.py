@@ -369,5 +369,5 @@ def test_parse_link_columns_under_every_branch(small_corpus, rule_set):
     assert seen["non_2xx"] and seen["zero_link"] and seen["custom"] and seen["links"]
     if rules:
         assert seen["no_follow"] and seen["dropped"]
-    links = split_links(parsed, routes=_ROUTES, rules=rules)
+    links = split_links(parsed)
     assert links["url"].to_pylist() == [u for urls in lu for u in urls]

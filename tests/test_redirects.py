@@ -94,11 +94,8 @@ def test_redirect_rows_unit():
     assert out["seq"].to_pylist() == [10, 11]          # original seq
     assert out["redirects"].to_pylist() == [1, 1]
     assert out["url_hash"].to_pylist() == hash64(out["url"].to_pylist()).tolist()
-    # a full FRONTIER row: no parent, callback cleared, dupefilter applies,
-    # attempt count reset
+    # a full FRONTIER row: dupefilter applies, attempt count reset
     assert out.schema.equals(schemas.FRONTIER)
-    assert out["parent_url"].to_pylist() == ["", ""]
-    assert out["callback"].to_pylist() == ["", ""]
     assert out["dont_filter"].to_pylist() == [False, False]
     assert out["retries"].to_pylist() == [0, 0]
     # corpus without a location column -> never redirects
@@ -123,7 +120,6 @@ def test_retry_rows_unit():
         "depth": pa.array([1, 1, 2, 2], type=pa.int32()),
         "priority": pa.array([5, 0, 0, 3], type=pa.int32()),
         "seq": pa.array([20, 21, 22, 23], type=pa.int64()),
-        "callback": pa.array(["parse_detail", "", "parse_listing", ""]),
         "retries": pa.array([0, 0, 1, 2], type=pa.int32()),   # last: spent
         "redirects": pa.array([3, 0, 0, 0], type=pa.int32()),
     })
@@ -136,11 +132,9 @@ def test_retry_rows_unit():
     assert out["depth"].to_pylist() == [1, 2]
     assert out["priority"].to_pylist() == [4, -1]       # priority + adjust
     assert out["seq"].to_pylist() == [20, 22]           # original seq
-    assert out["callback"].to_pylist() == ["parse_detail", "parse_listing"]
     assert out["retries"].to_pylist() == [1, 2]         # retries + 1
     assert out["dont_filter"].to_pylist() == [True, True]
     assert out["redirects"].to_pylist() == [0, 0]
-    assert out["parent_url"].to_pylist() == ["", ""]
 
 
 def test_all_middlewares_together(ray_session, redirect_corpus):
@@ -207,7 +201,6 @@ def test_meta_refresh_split_unit():
         "depth": pa.array([1, 1, 1, 1], type=pa.int32()),
         "priority": pa.array([0, 0, 0, 0], type=pa.int32()),
         "seq": pa.array([10, 11, 12, 13], type=pa.int64()),
-        "callback": pa.array([""] * 4),
         "retries": pa.array([0] * 4, type=pa.int32()),
         "redirects": pa.array([0, 0, 0, 20], type=pa.int32()),
     })
@@ -218,8 +211,6 @@ def test_meta_refresh_split_unit():
     assert rows["seq"].to_pylist() == [10]
     assert rows["host"].to_pylist() == ["a.example.com"]
     assert rows["depth"].to_pylist() == [1]
-    assert rows["parent_url"].to_pylist() == [""]
-    assert rows["callback"].to_pylist() == [""]
     assert rows["dont_filter"].to_pylist() == [False]
     assert rows["retries"].to_pylist() == [0]
     # only the followed row left the parse stream

@@ -28,7 +28,6 @@ def _rows(hosts: list[str], seq0: int = 0) -> pa.Table:
         "depth": pa.array(np.zeros(n, dtype=np.int32)),
         "priority": pa.array(np.arange(n, dtype=np.int32) % 3),
         "seq": pa.array(np.arange(seq0, seq0 + n, dtype=np.int64)),
-        "parent_url": [""] * n, "callback": ["parse_detail"] * n,
         "dont_filter": [False] * n,
         "retries": pa.array(np.zeros(n, dtype=np.int32)),
         "redirects": pa.array(np.zeros(n, dtype=np.int32)),

@@ -8,6 +8,7 @@ import heapq
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -225,8 +226,6 @@ def _rows(specs):
             "depth": pa.array(np.zeros(len(specs), dtype=np.int32)),
             "priority": pa.array(np.array([s[2] for s in specs], dtype=np.int32)),
             "seq": pa.array(np.array([s[3] for s in specs], dtype=np.int64)),
-            "parent_url": [""] * len(specs),
-            "callback": ["parse_detail"] * len(specs),
             "dont_filter": [False] * len(specs),
             "retries": pa.array(np.zeros(len(specs), dtype=np.int32)),
             "redirects": pa.array(np.zeros(len(specs), dtype=np.int32)),
@@ -547,6 +546,71 @@ def test_frontier_restores_a_shuffled_checkpoint_with_idle_hosts(tmp_path):
         w = max(w + 1, ref.earliest_ready_wave())
         want = ref.next_wave(w)
         assert _emitted(g.next_wave(w)) == _emitted(f.next_wave(w)) == want, w
+
+
+def test_frontier_old_layout_checkpoint_restores(tmp_path):
+    """A frontier checkpoint written when FRONTIER rows still carried
+    ``parent_url`` and ``callback`` (11 columns, those two after ``seq``)
+    restores by column name: the restored partition drains the same waves,
+    in the 9-column FRONTIER schema, as the partition that was pushed the rows
+    directly and wrote the checkpoint."""
+    cfg = CrawlConfig(per_domain_cap=2, download_delay=0.0)
+    specs = [(f"https://h{i % 6}.example/{('hotel', 'listing')[i % 2]}/{i}",
+              f"h{i % 6}.example", (i * 7) % 5 - 2, i) for i in range(60)]
+    f = FrontierShard(0, cfg)
+    f.push(_rows(specs))
+    f.next_wave(0)
+    f.checkpoint(str(tmp_path))
+    path = tmp_path / "frontier_0.parquet"
+    t = pq.read_table(path)
+    assert t.schema.equals(schemas.FRONTIER) and len(t) == 48
+    urls = t["url"].to_pylist()
+    old = (t.add_column(6, "parent_url", pa.array([f"https://h0.example/{i}"
+                                                   for i in range(len(t))]))
+            .add_column(7, "callback", pa.array(["parse_listing" if "/listing/" in u
+                                                 else "parse_detail" for u in urls])))
+    pq.write_table(old.take(np.random.default_rng(11).permutation(len(old))), path)
+    assert pq.read_schema(path).names[6:8] == ["parent_url", "callback"]
+    g = FrontierShard(0, cfg)
+    g.restore(str(tmp_path))
+    assert g.stats() == f.stats()
+    w = 1
+    while f.size():
+        want = f.next_wave(w)
+        got = g.next_wave(w)
+        assert got.schema.equals(schemas.FRONTIER) and len(got) > 0
+        assert got.equals(want), w
+        w += 1
+    assert g.size() == 0
+
+
+@pytest.mark.parametrize("reader", ["drain", "checkpoint", "respill"])
+def test_frontier_spill_file_with_missing_rows_fails_loudly(tmp_path, reader):
+    """A spill file that holds fewer rows than the partition spilled (cut
+    short or replaced) raises wherever it is read back: on the drain that
+    reloads it, on a checkpoint that folds it in, and when more rows of its
+    host spill onto it. The error names the host, the file and both counts;
+    rows are never dropped silently, also under ``python -O``."""
+    cfg = CrawlConfig(per_domain_cap=4, frontier_max_rows=30,
+                      frontier_spill_dir=str(tmp_path))
+    f = FrontierShard(0, cfg)
+    f.push(_rows([(f"https://h{h}.example/{i}", f"h{h}.example", 0, h * 100 + i)
+                  for h in range(4) for i in range(20)]))
+    assert f.spilled
+    code, n = sorted(f.spilled.items())[0]
+    path = f._spill_path(code)
+    host = f._hosts[code].as_py()
+    pq.write_table(pq.read_table(path).slice(1), path)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"spill file {path} of host {host!r} holds {n - 1} rows, expected {n}")):
+        if reader == "checkpoint":
+            f.checkpoint(str(tmp_path / "ck"))
+        elif reader == "respill":
+            f.push(_rows([(f"https://{host}/x{i}", host, 0, 1000 + i)
+                          for i in range(40)]))
+        else:
+            for w in range(40):
+                f.next_wave(w)
 
 
 def test_frontier_requeued_wave_tail_drops_its_session_column():
