@@ -155,8 +155,6 @@ def extract_detail_dom(html: bytes) -> dict:
         "price": first_text("span.price"),
         "review_count": int(rc.group(1)) if rc else 0,
         "reviews": [n.text() for n in css(root, "li")],
-        "related_hrefs": [n.attr("href") for n in css(root, "a.related-link")
-                          if n.attr("href")],
     }
 
 

@@ -42,7 +42,6 @@ _RATING = re.compile(rb'<span class="rating">([^<]*)</span>')
 _PRICE = re.compile(rb'<span class="price">([^<]*)</span>')
 _REVIEW_COUNT = re.compile(rb'<span class="review-count">(\d+) reviews</span>')
 _REVIEW_LI = re.compile(rb"<li>([^<]*)</li>")
-_RELATED = re.compile(rb'<a class="related-link" href="([^"]+)">')
 # Alternation excludes only the ACTIVE delimiter — a double-quoted href may
 # contain an apostrophe (and vice versa); a backreference class [^"'] would
 # silently drop those links (lxml's LinkExtractor captures them).
@@ -133,7 +132,7 @@ def extract_listing(html: bytes) -> dict:
 
 
 def extract_detail(html: bytes) -> dict:
-    """Detail page -> full item fields (M3) + related links. Regex fast
+    """Detail page -> full item fields (M3). Regex fast
     path; tolerant DOM fallback when the template regexes miss (M1 realism
     — see extract_listing)."""
     name = _H1_NAME.search(html)
@@ -154,7 +153,6 @@ def extract_detail(html: bytes) -> dict:
         "price": _u(price.group(1)) if price else None,
         "review_count": int(rc.group(1)) if rc else 0,
         "reviews": [_u(m) for m in _REVIEW_LI.findall(html)],
-        "related_hrefs": [_u(m) for m in _RELATED.findall(html)],
     }
 
 

