@@ -207,8 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if res["ok"] else 1
         elif args.cmd == "parse":
             from scrapy_ray.contracts import _page_row
-            from scrapy_ray.stages.parse import (parse_page_batch,
-                                                 split_items, split_links)
+            from scrapy_ray.stages.parse import parse_page_batch
             import pyarrow as pa
 
             row = _page_row(args.corpus, args.url)
@@ -218,13 +217,11 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             t = row.append_column("seq", pa.array([0], pa.int64()))
             t = t.append_column("depth", pa.array([0], pa.int32()))
-            parsed = parse_page_batch(t)
-            items = split_items(parsed).to_pylist()
-            links = split_links(parsed)["url"].to_pylist()
-            print(json.dumps({"url": args.url, "status_ok":
-                              bool(parsed["status_ok"][0].as_py()),
+            items, links, n_not_ok = parse_page_batch(t)
+            items = items.to_pylist()
+            print(json.dumps({"url": args.url, "status_ok": n_not_ok == 0,
                               "item": items[0] if items else None,
-                              "links": links}))
+                              "links": links["url"].to_pylist()}))
         elif args.cmd == "check":
             if args.module:
                 import importlib

@@ -69,7 +69,7 @@ def check_contracts(corpus_root: str,
     ``ok`` plus the observed counts/fields (the CLI prints these and exits
     non-zero on any failure, like ``scrapy check``). Uses the process-local
     registry (handlers/routes/rules), mirroring a driver-side engine run."""
-    from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
+    from scrapy_ray.stages.parse import parse_page_batch
 
     results = []
     for c in (CONTRACTS if contracts is None else contracts):
@@ -80,9 +80,7 @@ def check_contracts(corpus_root: str,
             continue
         t = row.append_column("seq", pa.array([0], pa.int64()))
         t = t.append_column("depth", pa.array([0], pa.int32()))
-        parsed = parse_page_batch(t)
-        items = split_items(parsed)
-        links = split_links(parsed)
+        items, links, _ = parse_page_batch(t)
         missing = []
         empty = []
         for f in c.scrapes:

@@ -14,6 +14,9 @@ from __future__ import annotations
 import gzip
 import zlib
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 try:  # pragma: no cover - not in this container
     import brotli  # type: ignore
 
@@ -22,6 +25,7 @@ except ImportError:
     _HAS_BROTLI = False
 
 _GZIP_MAGIC = b"\x1f\x8b"
+_ZLIB_MAGIC = b"\x78"      # zlib header (deflate)
 
 
 def maybe_decompress(body: bytes) -> bytes:
@@ -32,7 +36,7 @@ def maybe_decompress(body: bytes) -> bytes:
             return gzip.decompress(body)
         except OSError:
             return body
-    if body[:1] == b"\x78":  # zlib header (deflate)
+    if body[:1] == _ZLIB_MAGIC:
         try:
             return zlib.decompress(body)
         except zlib.error:
@@ -42,3 +46,11 @@ def maybe_decompress(body: bytes) -> bytes:
 
 def decompress_batch(htmls: list[bytes]) -> list[bytes]:
     return [maybe_decompress(h) for h in htmls]
+
+
+def maybe_compressed(html: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Boolean mask over a binary column: the bodies ``maybe_decompress``
+    may decode, sniffed by their first byte (so a superset: a plain body
+    that starts with ``x`` is in it)."""
+    return pc.is_in(pc.binary_slice(html, 0, 1),
+                    value_set=pa.array([_GZIP_MAGIC[:1], _ZLIB_MAGIC]))

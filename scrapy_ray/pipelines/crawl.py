@@ -447,8 +447,8 @@ class CrawlEngine:
                                         wave["session"].to_pylist()))
 
         # ONE distributed pass per wave: partition-pruned fetch-join + fused
-        # parse + in-task items/links splits — neither html nor list columns
-        # reach the driver (stages/fetch.py fetch_parse_wave, stages/parse.py).
+        # parse straight to ITEMS and LINKS rows — no html reaches the driver
+        # (stages/fetch.py fetch_parse_wave, stages/parse.py).
         _t0 = _time.perf_counter()
         fetched = fetch_parse_wave(self.fetch_plan, wave)
         items, links, n_fetched = fetched.items, fetched.links, fetched.n_fetched

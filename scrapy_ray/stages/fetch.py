@@ -1,6 +1,6 @@
 """Fetch stage = partition-pruned join of a frontier wave against the pages
-corpus (SURVEY.md §2.1 S2, §2.4 J1), fused with the parse and the
-items/links splits.
+corpus (SURVEY.md §2.1 S2, §2.4 J1), fused with the parse, which yields
+the ITEMS and LINKS tables directly.
 
 The reference downloads over HTTP ([S:scrapy/core/downloader/handlers/
 http11.py]); per the north rule, pages come from a Parquet corpus bucketed by
@@ -18,7 +18,7 @@ each task returns one ``FetchResult``. The slice argument and the result's
 tables cross the task boundary as Arrow IPC buffers (``schemas.to_ipc`` /
 ``from_ipc``): a slice ships only its own rows, and no process loads Ray's
 ``pa.Table`` serializer (``ray.air``/``ray.data``). The fetch path calls no
-pandas. Neither html nor per-page list columns ever reach the driver.
+pandas. No html ever reaches the driver, only the ITEMS and LINKS rows.
 
 The per-host feedback of a wave (AutoThrottle response sizes, the cookies
 session token) is one ``schemas.HOSTS`` table: each task reduces its fetched
@@ -133,23 +133,28 @@ def _meta_refresh_split(t: pa.Table, maxdelay: float,
     DIVERTED — returned as requeue rows at the target url and removed
     from the parse stream (Scrapy replaces the response before the spider
     sees it). Negative path is one vectorized substring sniff over the
-    binary html column, so corpora without refresh tags pay ~memchr."""
+    binary html column, so corpora without refresh tags pay ~memchr. A body
+    that may be compressed (``maybe_compressed``) hides its tag from the
+    sniff, so it is a candidate too; candidates are decompressed (M11) before
+    the tag is read, as the parse does. Only the tag is read from the
+    decompressed bytes: the kept rows and every byte count stay raw."""
+    from scrapy_ray.functions.compress import decompress_batch, maybe_compressed
     from scrapy_ray.functions.htmlx import base_url, meta_refresh
 
     status = t["status"].to_numpy(zero_copy_only=False)
     red = t["redirects"].to_numpy(zero_copy_only=False)
     cand = (status >= 200) & (status < 300) & (red < redirect_max)
     if cand.any():
-        sniff = pc.match_substring(t["html"], "http-equiv",
-                                   ignore_case=True) \
-            .to_numpy(zero_copy_only=False)
-        cand &= sniff.astype(bool)
+        sniff = pc.or_(pc.match_substring(t["html"], "http-equiv",
+                                          ignore_case=True),
+                       maybe_compressed(t["html"]))
+        cand &= sniff.to_numpy(zero_copy_only=False).astype(bool)
     if not cand.any():
         return schemas.FRONTIER.empty_table(), t
     idx = np.flatnonzero(cand)
     hit = t.take(pa.array(idx))
     urls = hit["url"].to_pylist()
-    htmls = hit["html"].to_pylist()
+    htmls = decompress_batch(hit["html"].to_pylist())
     follow_i, raw_targets = [], []
     from urllib.parse import urljoin
     for k, (u, h) in enumerate(zip(urls, htmls)):
@@ -370,14 +375,14 @@ def _fetch_parse(sub: pa.Buffer, plan: FetchPlan) -> FetchResult:
 
 
 def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
-    """Fetch, parse and split one (bucket, url)-sorted wave slice: read
+    """Fetch and parse one (bucket, url)-sorted wave slice: read
     each bucket's contiguous run once (``_read_bucket_run``: row groups
     pruned by their url statistics, then an ``url IN (...)`` filter; a
     bucket missing from ``plan.paths`` is a fetch miss), join the frontier
     carry columns in-task (arrow hash join), then run the
-    downloader-middleware splits, the fused parse AND the items/links
-    splits once over all the slice's pages."""
-    from scrapy_ray.stages.parse import parse_page_batch, split_items, split_links
+    downloader-middleware splits and the fused parse once over all the
+    slice's pages."""
+    from scrapy_ray.stages.parse import parse_page_batch
 
     _cap_arrow_threads()
     handlers, routes, rules = plan.registry
@@ -423,13 +428,12 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
     requeue = [r for r in requeue if len(r)]
     requeue = (pa.concat_tables(requeue) if requeue
                else schemas.FRONTIER.empty_table())
-    parsed = parse_page_batch(t, handlers=handlers, routes=routes,
-                              allowed_statuses=plan.allowed_statuses, rules=rules)
+    items, links, n_not_ok = parse_page_batch(
+        t, handlers=handlers, routes=routes,
+        allowed_statuses=plan.allowed_statuses, rules=rules)
     # error responses = fetched, non-2xx, fell through every middleware
     # (CLOSESPIDER_ERRORCOUNT input; diverted redirect/retry rows excluded)
-    n_err = len(parsed) - int(pc.sum(parsed["status_ok"]).as_py() or 0) \
-        - n_diverted
-    links = split_links(parsed)
+    n_err = n_not_ok - n_diverted
     if plan.link_filter is not None and len(links):
         # M7/M8/M9 in-task: shrinks the O(links) driver chain AND the
         # task->driver payload; per-row pure, so the surviving set is
@@ -437,12 +441,11 @@ def _fetch_parse_slice(sub: pa.Table, plan: FetchPlan) -> FetchResult:
         from scrapy_ray.stages.links import filter_links_p
 
         links = filter_links_p(links, plan.link_filter)
-    return FetchResult(split_items(parsed), links, n_fetched, hosts, requeue,
-                       nd, nw, n_err)
+    return FetchResult(items, links, n_fetched, hosts, requeue, nd, nw, n_err)
 
 
 def fetch_parse_wave(plan: FetchPlan, wave: pa.Table) -> FetchResult:
-    """Fetch, parse and split one wave (FRONTIER rows): one ``_fetch_parse``
+    """Fetch and parse one wave (FRONTIER rows): one ``_fetch_parse``
     task per chunk of the (bucket, url)-sorted wave; a task may span
     buckets. Misses (dangling links, never-written buckets) produce no row
     — the reference's 404 path. The caller applies the canonical

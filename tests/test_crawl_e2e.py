@@ -535,7 +535,8 @@ def test_depth_stats_and_parse_cli(ray_session, e2e_corpus):
     """DEPTH_STATS ([S:scrapy/spidermiddlewares/depth.py request_depth_count]):
     scheduled-request counts per depth, engine == simulator, total equals
     the crawl-order length, seeds at depth 0. Plus the `parse` CLI
-    (scrapy parse analogue) smoke in a subprocess."""
+    (scrapy parse analogue) in a subprocess: its status, item and links
+    for a hotel page and for an error page."""
     import json
     import subprocess
     import sys
@@ -549,14 +550,40 @@ def test_depth_stats_and_parse_cli(ray_session, e2e_corpus):
     assert eng.metrics["depth_stats"]["0"] >= 1
     assert len(eng.metrics["depth_stats"]) > 1, "multi-depth crawl expected"
 
-    url = next(u for u in eng.crawl_order["url"].to_pylist() if "/hotel/" in u)
-    r = subprocess.run(
-        [sys.executable, "-m", "scrapy_ray", "parse", "--corpus", e2e_corpus,
-         "--url", url, "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo")
-    assert r.returncode == 0, r.stderr[-2000:]
-    out = json.loads(r.stdout.strip().splitlines()[-1])
-    assert out["url"] == url and out["item"]["name"]
+    from urllib.parse import urljoin
+
+    import pyarrow.compute as pc
+
+    from scrapy_ray.contracts import _page_row
+    from scrapy_ray.functions.htmlx import base_url, extract_links
+    from scrapy_ray.functions.urlnorm import canonicalize_urls
+
+    def parse_cli(url: str) -> dict:
+        r = subprocess.run(
+            [sys.executable, "-m", "scrapy_ray", "parse", "--corpus", e2e_corpus,
+             "--url", url, "--num-cpus", "2"],
+            capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        assert r.returncode == 0, r.stderr[-2000:]
+        out = json.loads(r.stdout.strip().splitlines()[-1])
+        assert out["url"] == url
+        return out
+
+    # a hotel page with links (cross-links), so the links pin is not vacuous
+    url, html = next((u, h) for u in eng.crawl_order["url"].to_pylist()
+                     if "/hotel/" in u
+                     for h in [_page_row(e2e_corpus, u)["html"][0].as_py()]
+                     if extract_links(h))
+    out = parse_cli(url)
+    assert out["status_ok"] is True and out["item"]["name"]
+    assert out["links"] == canonicalize_urls(
+        urljoin(base_url(url, html), h) for h in extract_links(html))
+    pages = pq.read_table(os.path.join(e2e_corpus, "pages"),
+                          columns=["url", "status"], partitioning=None)
+    err = pages.filter(pc.greater_equal(pages["status"], 400))["url"][0].as_py()
+    out = parse_cli(err)
+    assert out["status_ok"] is False
+    assert out["links"] == [] and out["item"] is None
 
 
 def test_frontier_spill_crawl_equality(ray_session, e2e_corpus, tmp_path):

@@ -6,7 +6,7 @@
 - the flat MinHash/SimHash kernels vs ``minhash_signature`` and a bit-loop
   SimHash, including empty pages and duplicate hashes;
 - ``PageFeaturizer`` rows vs sketches built page by page;
-- ``parse_page_batch``'s three link list-columns under every parse branch.
+- ``parse_page_batch``'s LINKS rows, page by page, under every parse branch.
 """
 
 from __future__ import annotations
@@ -331,24 +331,26 @@ _RULE_SETS = {
 
 @pytest.mark.parametrize("rule_set", sorted(_RULE_SETS))
 def test_parse_link_columns_under_every_branch(small_corpus, rule_set):
-    from scrapy_ray.stages.parse import parse_page_batch, split_links
+    from scrapy_ray.stages.parse import parse_page_batch
 
     rules = _RULE_SETS[rule_set]
     t = _parse_cases(small_corpus)
-    parsed = parse_page_batch(t, handlers={"custom": _handler}, routes=_ROUTES,
-                              allowed_statuses=(), rules=rules)
-    assert len(parsed) == len(t)
-    lu = parsed["link_url"].to_pylist()
-    lh = parsed["link_host"].to_pylist()
-    lx = parsed["link_hash"].to_pylist()
+    links = parse_page_batch(t, handlers={"custom": _handler}, routes=_ROUTES,
+                             allowed_statuses=(), rules=rules).links
+    by_page: dict[int, list[dict]] = {}
+    for row in links.to_pylist():
+        by_page.setdefault(row["parent_seq"], []).append(row)
     seen = {"non_2xx": 0, "zero_link": 0, "custom": 0, "no_follow": 0,
             "dropped": 0, "links": 0}
-    for url, html, st_, urls, hosts, hashes in zip(
+    for url, html, st_, seq, depth in zip(
             t["url"].to_pylist(), t["html"].to_pylist(), t["status"].to_pylist(),
-            lu, lh, lx):
-        assert len(urls) == len(hosts) == len(hashes)
-        assert hosts == list(hosts_of(urls))
-        assert hashes == (hash64(urls).tolist() if urls else [])
+            t["seq"].to_pylist(), t["depth"].to_pylist()):
+        rows = by_page.pop(seq, [])
+        urls = [r["url"] for r in rows]
+        assert [r["host"] for r in rows] == list(hosts_of(urls))
+        assert [r["url_hash"] for r in rows] == (hash64(urls).tolist() if urls else [])
+        assert [r["link_idx"] for r in rows] == list(range(len(rows)))
+        assert all(r["depth"] == depth + 1 and r["priority"] == 0 for r in rows)
         ok = 200 <= st_ < 300
         custom = "/custom/" in url
         raw = _handler(url, html)["links"] if custom else extract_links(html)
@@ -366,8 +368,7 @@ def test_parse_link_columns_under_every_branch(small_corpus, rule_set):
         seen["zero_link"] += ok and not raw
         seen["custom"] += custom and ok
         seen["links"] += len(urls)
+    assert not by_page, "LINKS rows whose parent_seq is no input page"
     assert seen["non_2xx"] and seen["zero_link"] and seen["custom"] and seen["links"]
     if rules:
         assert seen["no_follow"] and seen["dropped"]
-    links = split_links(parsed)
-    assert links["url"].to_pylist() == [u for urls in lu for u in urls]

@@ -217,6 +217,40 @@ def test_meta_refresh_split_unit():
     assert keep["seq"].to_pylist() == [11, 12, 13]
 
 
+def test_meta_refresh_split_reads_compressed_bodies():
+    """A gzip or zlib body hides its refresh tag from the raw-byte sniff;
+    the split decompresses it first (M11), as the parse and the simulator
+    do. Rows that stay in the parse stream keep their stored bytes."""
+    import gzip
+    import zlib
+
+    from scrapy_ray.stages.fetch import _meta_refresh_split
+
+    tag = b'<html><head><meta http-equiv="refresh" content="%d;url=/t/%d">' \
+          b'</head><body>x</body></html>'
+    bodies = [tag % (0, 0), gzip.compress(tag % (0, 1)),
+              zlib.compress(tag % (0, 2)),
+              gzip.compress(tag % (200, 3)),        # too slow -> parsed
+              zlib.compress(b"<html>plain</html>")]  # no directive -> parsed
+    n = len(bodies)
+    t = pa.table({
+        "url": pa.array([f"https://a.example.com/r/{i}" for i in range(n)]),
+        "html": pa.array(bodies, type=pa.binary()),
+        "status": pa.array([200] * n, type=pa.int16()),
+        "depth": pa.array([1] * n, type=pa.int32()),
+        "priority": pa.array([0] * n, type=pa.int32()),
+        "seq": pa.array(range(10, 10 + n), type=pa.int64()),
+        "retries": pa.array([0] * n, type=pa.int32()),
+        "redirects": pa.array([0] * n, type=pa.int32()),
+    })
+    rows, keep = _meta_refresh_split(t, 100.0, 20)
+    assert rows["url"].to_pylist() == [f"https://a.example.com/t/{i}"
+                                       for i in range(3)]
+    assert rows["seq"].to_pylist() == [10, 11, 12]
+    assert keep["seq"].to_pylist() == [13, 14]
+    assert keep["html"].to_pylist() == bodies[3:]
+
+
 def test_engine_matches_simulator_with_metarefresh(ray_session, metarefresh_corpus):
     from scrapy_ray.sources.corpus import is_refreshed, refresh_delay
 
